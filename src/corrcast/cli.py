@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, ensemble, metrics
-from .correlator import CorrelatorParams, run_correlator, sweep_correlator, write_matches_csv
+from .correlator import (
+    CorrelatorParams,
+    check_past_only,
+    run_correlator,
+    sweep_correlator,
+    write_matches_csv,
+)
 from .dataset import (
     Dataset,
     HoldoutSplit,
@@ -143,6 +149,16 @@ def _correlator_params(args, config: dict) -> CorrelatorParams:
     )
 
 
+def _check_past_only(dataset: Dataset, params: CorrelatorParams | None) -> None:
+    """``past_only`` without a start date for every series is a config error."""
+    if params is None:
+        return
+    try:
+        check_past_only(dataset, params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _threads(args, config: dict) -> int:
     return _resolve(args.threads, config, "threads", 1)
 
@@ -223,6 +239,7 @@ def cmd_forecast(args) -> int:
     config = load_config(args.config) if args.config else {}
     dataset = _load_dataset(args)
     cfg = _pipeline_config(args, config)
+    _check_past_only(dataset, cfg.correlator)
     threads = _threads(args, config)
     out = _out_dir(args)
 
@@ -282,6 +299,7 @@ def cmd_sweep(args) -> int:
     test = read_forecast_csv(args.test)
     threads = _threads(args, config)
     base = _correlator_params(args, config)
+    _check_past_only(dataset, base)
 
     r_grid = _parse_grid(args.r_grid, float)
     std_grid = _parse_grid(args.std_grid, _parse_std_ratio)
@@ -317,11 +335,12 @@ def cmd_audit(args) -> int:
     dataset = _load_dataset(args)
     threads = _threads(args, config)
     exclusions = analysis.load_exclusions_csv(args.exclusions) if args.exclusions else None
+    params = _correlator_params(args, config)
+    _check_past_only(dataset, params)
 
     correlator_matches = None
     if args.future_use is not False and any(ts.start_date is not None for ts in dataset):
-        correlator_matches = run_correlator(dataset, _correlator_params(args, config),
-                                            threads=threads)
+        correlator_matches = run_correlator(dataset, params, threads=threads)
 
     report = analysis.build_leakage_report(
         dataset,
@@ -354,6 +373,7 @@ def cmd_validate(args) -> int:
     config = load_config(args.config) if args.config else {}
     dataset = _load_dataset(args)
     cfg = _pipeline_config(args, config)
+    _check_past_only(dataset, cfg.correlator)
     threads = _threads(args, config)
     h = cfg.horizon if cfg.horizon is not None else 14
     split = holdout_split(dataset, h)

@@ -4,7 +4,10 @@ The scan that powers both the forecaster and the leakage audit correlates a
 short query vector (typically 13-14 points) against every window of a
 series. Window means/stds are precomputed once per (series, window-length)
 pair; the per-shift dot products are then a single direct correlation pass,
-which for such short windows beats FFT-based schemes.
+which for such short windows beats FFT-based schemes. The correlator runs
+that pass over every window only when its projection index cannot narrow
+the candidates (see ``correlator``); otherwise it runs it over the index's
+survivors alone, with the same arithmetic and so the same r.
 """
 
 from __future__ import annotations
@@ -94,18 +97,19 @@ def _normalized_query(query: np.ndarray) -> np.ndarray:
     return q / std
 
 
-def _window_correlations(centered: np.ndarray, stats: RollingStats, qhat: np.ndarray) -> np.ndarray:
+def _window_correlations(centered: np.ndarray, std: np.ndarray, valid: np.ndarray,
+                         qhat: np.ndarray) -> np.ndarray:
     """r for every window of a (globally centered) series vs a normalized query.
 
-    Invalid windows get NaN. ``qhat`` must be zero-mean unit-std with the
-    same length as ``stats.w``.
+    ``std`` and ``valid`` are the windows' rolling statistics. Invalid windows
+    get NaN. ``qhat`` must be zero-mean unit-std with the window's length.
     """
-    w = stats.w
+    w = qhat.size
     dots = np.correlate(centered, qhat, mode="valid")
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = dots / (w * stats.std)
+        r = dots / (w * std)
     r = np.clip(r, -1.0, 1.0)
-    r[~stats.valid] = np.nan
+    r[~valid] = np.nan
     return r
 
 
@@ -124,6 +128,6 @@ def sliding_correlations(query, series, stats: RollingStats | None = None):
     elif stats.w != w or stats.mean.size != series.size - w + 1:
         raise ValueError("rolling stats do not match the query length and series")
     qhat = _normalized_query(query)
-    r = _window_correlations(series - series.mean(), stats, qhat)
+    r = _window_correlations(series - series.mean(), stats.std, stats.valid, qhat)
     taus = np.nonzero(stats.valid)[0] + w
     return taus, r[stats.valid]

@@ -313,3 +313,31 @@ class TestValidateCommand:
         data = _write_dataset(d, tmp_path / "train.csv")
         rc = main(["validate", "--data", data, "--out", str(tmp_path / "o")])
         assert rc == 1
+
+
+class TestPastOnlyNeedsDates:
+    """past_only cannot be honoured without start dates, so every command
+    that runs the correlator refuses it with a config error."""
+
+    @pytest.mark.parametrize("command", ["forecast", "sweep", "validate", "audit"])
+    def test_flag_without_info_exits_2(self, planted_env, command, capsys):
+        _, _, data, test, tmp = planted_env
+        argv = [command, "--data", data, "--out", str(tmp / command), "--past-only"]
+        if command == "sweep":
+            argv += ["--test", test]
+        assert main(argv) == 2
+        assert "past_only needs a start date" in capsys.readouterr().err
+
+    def test_config_without_info_exits_2(self, planted_env, capsys):
+        _, _, data, _, tmp = planted_env
+        cfg = tmp / "run.cfg"
+        cfg.write_text("past_only = true\n")
+        assert main(["forecast", "--data", data, "--out", str(tmp / "o"),
+                     "--config", str(cfg)]) == 2
+        assert "5 of 5 have none" in capsys.readouterr().err
+
+    def test_dated_info_runs(self, planted_env):
+        d, _, data, _, tmp = planted_env
+        info = _write_info(d, tmp / "info.csv")
+        assert main(["forecast", "--data", data, "--info", info, "--out", str(tmp / "o"),
+                     "--past-only"]) == 0

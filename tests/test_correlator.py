@@ -214,6 +214,18 @@ class TestDates:
         match = correlator_forecast(0, d, CorrelatorParams(past_only=True))
         assert match is not None and match.used_future is False
 
+    def test_past_only_without_dates_raises(self, rng):
+        d, _ = make_planted(rng)
+        with pytest.raises(ValueError, match=r"4 of 4 have none \(first: 'T1', 'S1'"):
+            correlator_forecast(0, d, CorrelatorParams(past_only=True))
+
+    def test_past_only_with_one_undated_series_raises(self, rng):
+        d, _ = make_planted(rng, start_dates={"T1": date(2000, 1, 1)})
+        series = [TimeSeries(ts.id, ts.values, start_date=None if ts.id == "X2" else ts.start_date)
+                  for ts in d]
+        with pytest.raises(ValueError, match=r"1 of 4 have none \(first: 'X2'\)"):
+            run_correlator(Dataset(series), CorrelatorParams(past_only=True))
+
     def test_no_dates_means_unknown(self, rng):
         d, _ = make_planted(rng)
         match = correlator_forecast(0, d, CorrelatorParams())

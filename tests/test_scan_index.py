@@ -1,0 +1,166 @@
+"""The projection index must return exactly what the full scan returns.
+
+``CorrelationEngine._scan`` answers from the sorted projection index when
+the key range is sparse and falls back to the full scan when it is dense.
+These tests force each path by patching the engine's private dense cut-off
+and compare all five arrays with ``np.array_equal``, on inputs built to sit
+at the edges of the index's error bounds: duplicate windows (tie order),
+windows at the constancy floor, offsets and level shifts up to 1e9, steep
+ramps, series too short to be sources, and plants just around the
+thresholds.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from corrcast import CorrelatorParams, Dataset, TimeSeries
+from corrcast.correlator import CorrelationEngine
+from corrcast.stats import ConstantInputError, rolling_stats
+from conftest import make_multi_planted
+
+THRESHOLDS = (1.0, 0.9999, 0.999, 0.99, 0.5)
+KINDS = ("walk", "ramp", "floor", "shift")
+
+
+def _scan(engine, j, r_threshold, dense_fraction):
+    engine._DENSE_FRACTION = dense_fraction
+    try:
+        return engine._scan(j, r_threshold)
+    except ConstantInputError:
+        return "constant query"
+    finally:
+        del engine._DENSE_FRACTION
+
+
+def assert_paths_agree(engine, j, r_threshold):
+    sparse = _scan(engine, j, r_threshold, np.inf)
+    dense = _scan(engine, j, r_threshold, -1.0)
+    if isinstance(dense, str) or isinstance(sparse, str):
+        assert sparse == dense
+        return
+    for name, a, b in zip(("ks", "taus", "rs", "win_std", "cont_std"), sparse, dense):
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), (name, j, r_threshold, a, b)
+
+
+def _series(rng, kind, n, offset):
+    if kind == "walk":
+        return offset + np.cumsum(rng.normal(0.0, 1.0, n))
+    if kind == "ramp":
+        slope = 10.0 ** rng.uniform(0, 6)
+        return offset + slope * np.arange(n) + rng.normal(0.0, 1.0, n)
+    if kind == "floor":
+        # A constant level whose windows sit just below or above the
+        # constancy floor 1e-12 (1 + |mean|).
+        floor = 1e-12 * (1.0 + abs(offset))
+        factor = rng.choice([0.5, 0.99, 1.01, 2.0, 10.0, 1e3])
+        return offset + floor * factor * rng.choice([-1.0, 1.0], n)
+    step = np.where(np.arange(n) < n // 2, 0.0, 10.0 ** rng.uniform(0, 9))
+    return offset + step + np.cumsum(rng.normal(0.0, 1.0, n))
+
+
+@st.composite
+def datasets(draw):
+    w = draw(st.sampled_from([2, 5, 14]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_series = draw(st.integers(1, 5))
+    series = []
+    for _ in range(n_series):
+        kind = draw(st.sampled_from(KINDS))
+        # Lengths from w (a target only) past 2w (a source too).
+        n = draw(st.integers(w, 12 * w))
+        offset = draw(st.sampled_from([0.0, 1e3, -1e6, 1e9]))
+        series.append(_series(rng, kind, n, offset))
+    # Affine copies of targets' tails with noise, landing around the
+    # thresholds, and verbatim duplicates of windows, whose equal r must
+    # keep (k, tau) order.
+    for _ in range(draw(st.integers(0, 4))):
+        src = series[draw(st.integers(0, n_series - 1))]
+        dst = series[draw(st.integers(0, n_series - 1))]
+        if dst.size < 2 * w:
+            continue
+        at = draw(st.integers(0, dst.size - 2 * w))
+        window = src[-w:] if draw(st.booleans()) else src[: w]
+        noise = draw(st.sampled_from([0.0, 1e-6, 1e-4, 1e-3, 3e-2]))
+        scale = np.std(window) or 1.0
+        dst[at : at + w] = (rng.uniform(0.5, 2.0) * window + rng.uniform(-5, 5)
+                            + rng.normal(0.0, noise * scale, w))
+    params = CorrelatorParams(w=w, include_self=draw(st.booleans()))
+    data = Dataset([TimeSeries(f"S{i}", v) for i, v in enumerate(series)])
+    return data, params
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(datasets())
+def test_index_matches_full_scan(case):
+    data, params = case
+    engine = CorrelationEngine(data, params)
+    for j in range(len(data)):
+        for r_threshold in THRESHOLDS:
+            assert_paths_agree(engine, j, r_threshold)
+
+
+def test_planted_random_walks_take_the_index(rng):
+    """On random walks with planted copies the default cut-off takes the
+    sparse path, finds every plant and agrees with the full scan."""
+    data, plants = make_multi_planted(rng, n_series=6)
+    walks = [TimeSeries(f"W{i}", np.cumsum(rng.normal(0.0, 1.0, 3000))) for i in range(20)]
+    data = Dataset(list(data) + walks)
+    engine = CorrelationEngine(data, CorrelatorParams())
+    calls = []
+    engine._full_scan = lambda *a: calls.append(a)
+    for sid, plant in plants.items():
+        j = data.position(sid)
+        ks, taus, _, _, _ = engine._scan(j, 0.9999)
+        assert (plant.source_index, plant.tau) in set(zip(ks.tolist(), taus.tolist()))
+    assert calls == []
+    del engine._full_scan
+    for j in range(len(data)):
+        for r_threshold in THRESHOLDS:
+            assert_paths_agree(engine, j, r_threshold)
+
+
+def test_ill_conditioned_windows_are_always_rescored():
+    """Windows whose std is tiny against the series' magnitude bypass the
+    index bounds; they are still found."""
+    w = 14
+    rng = np.random.default_rng(7)
+    tail = rng.normal(0.0, 1.0, w)
+    host = np.full(200, 1e9)
+    host[50 : 50 + w] += 0.1 * tail
+    host[120:] += rng.normal(0.0, 1e3, 80)
+    data = Dataset([TimeSeries("T", np.concatenate([rng.normal(0.0, 1.0, 30), tail])),
+                    TimeSeries("H", host)])
+    engine = CorrelationEngine(data, CorrelatorParams(w=w))
+    assert engine._loose.size > 0
+    ks, taus, rs, _, _ = engine._scan(0, 0.9999)
+    assert (1, 50 + w) in set(zip(ks.tolist(), taus.tolist()))
+    for r_threshold in THRESHOLDS:
+        assert_paths_agree(engine, 0, r_threshold)
+
+
+@pytest.mark.parametrize("include_self", [True, False])
+def test_self_matches_follow_include_self(rng, include_self):
+    w = 14
+    vals = np.cumsum(rng.normal(0.0, 1.0, 400))
+    vals[100 : 100 + w] = 3.0 * vals[-w:] + 1.0
+    data = Dataset([TimeSeries("A", vals),
+                    TimeSeries("B", np.cumsum(rng.normal(0.0, 1.0, 400)))])
+    engine = CorrelationEngine(data, CorrelatorParams(include_self=include_self))
+    ks, taus, _, _, _ = engine._scan(0, 0.9999)
+    assert ((0, 100 + w) in set(zip(ks.tolist(), taus.tolist()))) == include_self
+    for r_threshold in THRESHOLDS:
+        assert_paths_agree(engine, 0, r_threshold)
+
+
+@pytest.mark.parametrize("w", [2, 5, 14, 40])
+def test_window_mean_matches_rolling_stats(rng, w):
+    """The walk maps a match with its window's own mean; it must be the
+    mean rolling_stats gives that window, to the bit."""
+    for offset in (0.0, 1e3, -1e6, 1e9):
+        x = offset + np.cumsum(rng.normal(0.0, 10.0 ** rng.uniform(-6, 3), 300))
+        st = rolling_stats(x, w)
+        assert all(x[s : s + w].mean() == st.mean[s] for s in range(st.mean.size))
