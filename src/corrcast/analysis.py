@@ -15,12 +15,12 @@ target is kept (no all-pairs matrix is materialized).
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from ._parallel import indexed_map
 from .correlator import CorrelatorMatch, match_uses_future
@@ -74,6 +74,21 @@ class LeakageReport:
     matches_by_id: dict[str, GlobalMatch] = field(default_factory=dict)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n, a length pocketfft transforms fast."""
+    m = max(n, 1) - 1
+    best = 1 << m.bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The smallest p35 * 2**a >= n.
+            best = min(best, p35 << (m // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def global_cross_correlation(j: int, k: int, tau: int, dataset: Dataset,
                              margin: int = DEFAULT_MARGIN) -> float:
     """Correlation between the target's final segment and the source
@@ -121,7 +136,7 @@ class GlobalScanEngine:
             self.prefix.append(None)
             self.prefix_sq.append(None)
         max_n = max(lengths, default=0)
-        self.fft_len = next_fast_len(max(2 * max_n - 1, 1), real=True)
+        self.fft_len = _next_fast_len(2 * max_n - 1)
         # Cache source-side FFTs only for series that can appear in a pair
         # large enough to take the FFT path.
         self._rfft: dict[int, np.ndarray] = {}
@@ -263,19 +278,21 @@ def future_use_stats(matches: Iterable[CorrelatorMatch], dataset: Dataset) -> fl
     """
     if isinstance(matches, Mapping):
         matches = matches.values()
-    flags = []
+    flags, undated = [], []
     for m in matches:
         target = dataset[m.target_id]
         source = dataset[m.source_id]
         flag = match_uses_future(
             source.start_date, m.tau, len(m.forecast), target.start_date, len(target)
         )
-        if flag is None:
-            raise ValueError(
-                f"start dates missing for pair ({m.target_id}, {m.source_id}); "
-                "supply the info file to enable future-use statistics"
-            )
         flags.append(flag)
+        if flag is None:
+            undated.append(f"({m.target_id}, {m.source_id})")
+    if undated:
+        raise ValueError(
+            f"start dates missing for {len(undated)} of {len(flags)} matched pairs (first: "
+            f"{', '.join(undated[:5])}); supply the info file to enable future-use statistics"
+        )
     if not flags:
         raise ValueError("no matches to analyze")
     return float(np.mean(flags))
@@ -287,7 +304,8 @@ def build_leakage_report(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRE
                          correlator_matches: Mapping[str, CorrelatorMatch] | None = None,
                          margin: int = DEFAULT_MARGIN, threads: int = 1,
                          fft_min_work: int = DEFAULT_FFT_MIN_WORK) -> LeakageReport:
-    """Run the complete audit and assemble a LeakageReport."""
+    """Run the complete audit and assemble a LeakageReport; the future-use
+    fraction is None, with a warning, when a matched pair lacks a start date."""
     exclusions = list(exclusions) if exclusions else []
     unfiltered = find_global_matches(dataset, threshold=threshold, exclusions=None,
                                      margin=margin, threads=threads,
@@ -298,10 +316,11 @@ def build_leakage_report(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRE
     histogram = overlap_histogram(matches, bin_width)
     fraction = None
     if correlator_matches:
+        # Non-empty matches leave missing start dates as the only ValueError.
         try:
             fraction = future_use_stats(correlator_matches, dataset)
-        except ValueError:
-            fraction = None
+        except ValueError as exc:
+            warnings.warn(f"future-use fraction not computed: {exc}")
     return LeakageReport(
         set_c=matches,
         categories=categories,

@@ -1,6 +1,10 @@
 """Built-in statistical forecasters: naive, simple exponential smoothing,
 and a decomposition-based method.
 
+Simple exponential smoothing scores its whole alpha grid at once with a
+log-depth doubling scan of the level recursion (Hillis & Steele 1986;
+Blelloch 1990) in plain numpy.
+
 The decomposition method splits a series into trend/seasonal/residual with
 a short centered moving average (period 2), forecasts trend and residual
 either by linear extrapolation or by repeating recent values (picking the
@@ -14,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .metrics import UndefinedMetricError, mase
 
@@ -78,24 +81,31 @@ def ses_forecast(series, h: int, alpha: float | None = None) -> np.ndarray:
     if alpha is not None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        return np.full(h, _ses_levels(series, alpha)[-1])
-    best_alpha = SES_ALPHA_GRID[0]
-    best_sse = np.inf
-    for a in SES_ALPHA_GRID:
-        levels = _ses_levels(series, a)
-        err = series[1:] - levels[:-1]
-        sse = float(np.dot(err, err))
-        if sse < best_sse:
-            best_sse = sse
-            best_alpha = a
-    return np.full(h, _ses_levels(series, best_alpha)[-1])
+        if alpha == 1.0:
+            return naive_forecast(series, h)
+        return np.full(h, _ses_levels(series, np.array([alpha]))[0, -1])
+    levels = _ses_levels(series, SES_ALPHA_GRID)
+    err = series[1:] - levels[:, :-1]
+    best = np.argmin(np.einsum("ij,ij->i", err, err))
+    return np.full(h, levels[best, -1])
 
 
-def _ses_levels(series: np.ndarray, alpha: float) -> np.ndarray:
-    if series.size == 1:
-        return series.copy()
-    levels, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], series, zi=[(1.0 - alpha) * series[0]])
-    return levels
+def _ses_levels(series: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """SES levels of ``series`` for each of ``alphas``, one row per alpha.
+
+    A doubling scan of d[t] = (1-alpha)*d[t-1] + alpha*(y[t] - y[0]), d[0] = 0:
+    after the step with shift s, d[t] sums the last 2s terms, so ceil(log2 n)
+    steps give every level y[0] + d[t].
+    """
+    # Deviations from y[0] are exactly 0 on a constant series, so its levels
+    # stay exactly y[0] whatever rounding the scan does.
+    d = alphas[:, None] * (series - series[0])
+    decay = 1.0 - alphas[:, None]
+    s = 1
+    while s < series.size:
+        d[:, s:] += decay ** s * d[:, :-s]
+        s *= 2
+    return series[0] + d
 
 
 def decompose_classical(series, period: int = 2) -> Decomposition:

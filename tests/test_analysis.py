@@ -1,5 +1,6 @@
 """Leakage-audit tests: global correlation scan, categories, histograms."""
 
+import warnings
 from datetime import date
 
 import numpy as np
@@ -9,6 +10,7 @@ from corrcast import (
     CorrelatorParams,
     Dataset,
     TimeSeries,
+    build_leakage_report,
     candidate_stream,
     categorize,
     find_global_matches,
@@ -17,8 +19,9 @@ from corrcast import (
     overlap_histogram,
     run_correlator,
 )
+from corrcast.analysis import _next_fast_len
 from corrcast.stats import pearson
-from conftest import make_planted
+from conftest import make_multi_planted, make_planted
 
 W = 14
 
@@ -259,3 +262,34 @@ class TestFutureUse:
         matches = run_correlator(d, CorrelatorParams())
         with pytest.raises(ValueError, match="info file"):
             future_use_stats(matches, d)
+
+    def test_partly_dated_report_warns(self, rng):
+        d, _ = make_multi_planted(rng, n_series=5)
+        dated = {"P1", "P2", "P3"}
+        d = Dataset([TimeSeries(ts.id, ts.values,
+                                start_date=date(2000, 1, 1) if ts.id in dated else None)
+                     for ts in d])
+        matches = run_correlator(d, CorrelatorParams())
+        undated = [m for m in matches.values() if not {m.target_id, m.source_id} <= dated]
+        assert 0 < len(undated) < len(matches)
+        with pytest.warns(UserWarning) as record:
+            report = build_leakage_report(d, correlator_matches=matches)
+        assert report.future_use_fraction is None
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert f"{len(undated)} of {len(matches)} matched pairs" in message
+        assert f"({undated[0].target_id}, {undated[0].source_id})" in message
+
+    def test_dated_or_empty_report_is_silent(self, rng):
+        d = self._two_plants(rng)
+        matches = run_correlator(d, CorrelatorParams())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build_leakage_report(d, correlator_matches=matches).future_use_fraction == 0.5
+            assert build_leakage_report(d, correlator_matches={}).future_use_fraction is None
+
+
+def test_next_fast_len_matches_scipy():
+    fft = pytest.importorskip("scipy.fft")
+    for n in range(1, 70001):
+        assert _next_fast_len(n) == fft.next_fast_len(n, real=True), n

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from corrcast import (
     custom_forecast,
@@ -13,6 +15,7 @@ from corrcast import (
     naive_forecast,
     ses_forecast,
 )
+from corrcast.forecasters import SES_ALPHA_GRID, _ses_levels
 
 
 def oracle_decompose_period2(y):
@@ -31,6 +34,40 @@ def oracle_decompose_period2(y):
     seasonal = [means[t % 2] for t in range(n)]
     residual = [y[t] - trend[t] - seasonal[t] for t in range(n)]
     return trend, seasonal, residual
+
+
+def oracle_ses_levels(y, alpha):
+    """Loop implementation of the SES level recursion.
+
+    level + alpha*(v - level) is alpha*v + (1-alpha)*level; written this
+    way a constant series keeps its level exactly, where the other form
+    drifts by one rounding per step (n*eps for alpha near 0).
+    """
+    level = y[0]
+    levels = [level]
+    for v in y[1:]:
+        level += alpha * (v - level)
+        levels.append(level)
+    return levels
+
+
+@st.composite
+def ses_series(draw):
+    """Series for the SES scan: lengths 1-3 and up to 10k, constant,
+    alternating-sign and two-decimal values, level offsets up to 1e9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 3), st.integers(4, 300), st.integers(301, 10_000)))
+    kind = draw(st.sampled_from(["walk", "constant", "alternating", "cents"]))
+    offset = draw(st.sampled_from([0.0, 3.7, -1e6, 1e9, -1e9]))
+    if kind == "walk":
+        y = np.cumsum(rng.normal(0.0, 1.0, n))
+    elif kind == "constant":
+        y = np.zeros(n)
+    elif kind == "alternating":
+        y = rng.uniform(0.5, 2.0, n) * (-1.0) ** np.arange(n)
+    else:
+        y = np.round(rng.uniform(0.0, 100.0, n), 2)
+    return offset + y
 
 
 def oracle_line_fit(tail):
@@ -87,6 +124,41 @@ class TestSes:
     def test_grid_selection_deterministic(self, rng):
         y = rng.normal(0, 1, 80)
         assert np.array_equal(ses_forecast(y, 5), ses_forecast(y, 5))
+
+
+class TestSesScan:
+    """The doubling scan against the loop recursion."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ses_series())
+    def test_levels_and_choice_match_loop(self, y):
+        scale = float(np.abs(y).max())
+        levels = _ses_levels(y, SES_ALPHA_GRID)
+        sses = []
+        for row, alpha in zip(levels, SES_ALPHA_GRID):
+            want = np.array(oracle_ses_levels(y.tolist(), float(alpha)))
+            assert np.abs(row - want).max() <= 1e-12 * scale, alpha
+            sses.append(sum((v - lv) ** 2 for v, lv in zip(y[1:], want[:-1])))
+        for alpha in (1e-9, 1e-4, 1.0):
+            got = _ses_levels(y, np.array([alpha]))[0]
+            want = np.array(oracle_ses_levels(y.tolist(), alpha))
+            assert np.abs(got - want).max() <= 1e-12 * scale, alpha
+            assert abs(ses_forecast(y, 1, alpha=alpha)[0] - want[-1]) <= 1e-12 * scale, alpha
+        fc = ses_forecast(y, 3)
+        if np.all(y == y[0]):
+            assert np.all(levels == y[0])
+            assert fc.tolist() == [y[0]] * 3
+        order = np.argsort(sses, kind="stable")
+        if sses[order[1]] - sses[order[0]] > 1e-9 * sses[order[0]]:
+            # The oracle's alpha is clear, so the forecast is the scan's
+            # final level at that alpha, bit for bit.
+            assert fc.tolist() == [levels[order[0], -1]] * 3
+        assert np.array_equal(ses_forecast(y, 2, alpha=1.0), naive_forecast(y, 2))
+
+    def test_exact_tie_takes_smallest_alpha(self):
+        # With two points every alpha has the same in-sample error.
+        assert ses_forecast([1.0, 3.0], 1)[0] == pytest.approx(1.0 + SES_ALPHA_GRID[0] * 2.0)
 
 
 class TestDecompose:
