@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -69,9 +69,11 @@ class LeakageReport:
     bin_width: int
     future_use_fraction: float | None = None
     threshold: float = DEFAULT_AUDIT_THRESHOLD
-    excluded_pairs: int = 0
     pre_exclusion_count: int = 0
-    matches_by_id: dict[str, GlobalMatch] = field(default_factory=dict)
+
+    @property
+    def excluded_pairs(self) -> int:
+        return self.pre_exclusion_count - len(self.set_c)
 
 
 def _next_fast_len(n: int) -> int:
@@ -212,22 +214,21 @@ def find_global_matches(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRES
     The exclusion list models manually discarded pairs (e.g. alignments
     driven by a single large jump in both series).
     """
-    excluded = set(map(tuple, exclusions)) if exclusions else set()
     engine = GlobalScanEngine(dataset, margin=margin, fft_min_work=fft_min_work)
     results = indexed_map(engine.best_match, len(dataset), threads)
     matches = []
     for ts, best in zip(dataset, results):
-        if best is None:
-            continue
-        k, tau, r, overlap = best
-        if r < threshold:
-            continue
-        source_id = dataset.series[k].id
-        if (ts.id, source_id) in excluded:
-            continue
-        matches.append(GlobalMatch(target_id=ts.id, source_id=source_id,
-                                   tau=tau, r_prime=r, overlap=overlap))
-    return matches
+        if best is not None and best[2] >= threshold:
+            k, tau, r, overlap = best
+            matches.append(GlobalMatch(target_id=ts.id, source_id=dataset.series[k].id,
+                                       tau=tau, r_prime=r, overlap=overlap))
+    return _drop_excluded(matches, exclusions)
+
+
+def _drop_excluded(matches: list[GlobalMatch],
+                   exclusions: Iterable[tuple[str, str]] | None) -> list[GlobalMatch]:
+    excluded = set(map(tuple, exclusions)) if exclusions else set()
+    return [m for m in matches if (m.target_id, m.source_id) not in excluded]
 
 
 def categorize(matches: Sequence[GlobalMatch], dataset: Dataset) -> dict[str, list[GlobalMatch]]:
@@ -298,6 +299,14 @@ def future_use_stats(matches: Iterable[CorrelatorMatch], dataset: Dataset) -> fl
     return float(np.mean(flags))
 
 
+def check_audit_args(threshold: float, bin_width: int) -> None:
+    """Raise ValueError for a threshold outside [-1, 1] or a bin width below 1."""
+    if not -1.0 <= threshold <= 1.0:
+        raise ValueError(f"audit threshold must be in [-1, 1], got {threshold}")
+    if bin_width < 1:
+        raise ValueError(f"bin width must be >= 1, got {bin_width}")
+
+
 def build_leakage_report(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRESHOLD,
                          exclusions: Iterable[tuple[str, str]] | None = None,
                          bin_width: int = 100,
@@ -305,13 +314,12 @@ def build_leakage_report(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRE
                          margin: int = DEFAULT_MARGIN, threads: int = 1,
                          fft_min_work: int = DEFAULT_FFT_MIN_WORK) -> LeakageReport:
     """Run the complete audit and assemble a LeakageReport; the future-use
-    fraction is None, with a warning, when a matched pair lacks a start date."""
-    exclusions = list(exclusions) if exclusions else []
-    unfiltered = find_global_matches(dataset, threshold=threshold, exclusions=None,
-                                     margin=margin, threads=threads,
-                                     fft_min_work=fft_min_work)
-    excluded_set = set(map(tuple, exclusions))
-    matches = [m for m in unfiltered if (m.target_id, m.source_id) not in excluded_set]
+    fraction is None, with a warning, when a matched pair lacks a start date.
+    The threshold and bin width are checked before the scan."""
+    check_audit_args(threshold, bin_width)
+    unfiltered = find_global_matches(dataset, threshold=threshold, margin=margin,
+                                     threads=threads, fft_min_work=fft_min_work)
+    matches = _drop_excluded(unfiltered, exclusions)
     categories = categorize(matches, dataset)
     histogram = overlap_histogram(matches, bin_width)
     fraction = None
@@ -328,9 +336,7 @@ def build_leakage_report(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRE
         bin_width=bin_width,
         future_use_fraction=fraction,
         threshold=threshold,
-        excluded_pairs=len(unfiltered) - len(matches),
         pre_exclusion_count=len(unfiltered),
-        matches_by_id={m.target_id: m for m in matches},
     )
 
 

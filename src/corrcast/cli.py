@@ -1,9 +1,12 @@
 """Command-line interface: forecasting runs, evaluation, parameter sweeps,
 leakage audits, and the holdout validation workflow.
 
-A key-value config file can predefine any run parameter; explicit flags
-override config values. Exit codes: 0 success, 1 runtime failure,
-2 usage or config error.
+The run parameters are declared once, in ``PARAMS``: each row gives the
+config key, the flag, the text parser, the field it sets and the commands
+that take the flag. A key-value config file can set any of them; flags
+given on the command line override it. Defaults and checks are those of
+``CorrelatorParams`` and ``PipelineConfig``. Exit codes: 0 success,
+1 runtime failure, 2 usage or config error (invalid values included).
 """
 
 from __future__ import annotations
@@ -14,13 +17,13 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from . import analysis, ensemble, metrics
 from .correlator import (
     CorrelatorParams,
     check_past_only,
+    check_sweep,
     run_correlator,
     sweep_correlator,
     write_matches_csv,
@@ -37,7 +40,8 @@ from .dataset import (
 )
 from .forecasters import Forecast, naive_forecast
 
-_UNSET = object()
+# Holdout length and horizon of ``validate`` when none is given.
+HOLDOUT_HORIZON = 14
 
 
 class ConfigError(ValueError):
@@ -77,20 +81,51 @@ def _parse_external(text: str) -> dict[str, str]:
     return out
 
 
-CONFIG_KEYS = {
-    "window": int,
-    "r_threshold": float,
-    "std_ratio": _parse_std_ratio,
-    "bug1": _parse_bool,
-    "bug2": _parse_bool,
-    "past_only": _parse_bool,
-    "include_self": _parse_bool,
-    "correlator": _parse_bool,
-    "members": _parse_members,
-    "external_forecast_paths": _parse_external,
-    "horizon": int,
-    "threads": int,
-}
+class Param(NamedTuple):
+    """One run parameter. ``owner`` is the dataclass whose ``field`` it sets,
+    or None for a keyword argument of the library calls (``threads``).
+    Boolean parameters get a ``--flag/--no-flag`` pair."""
+
+    key: str
+    parse: Callable[[str], object]
+    owner: type | None
+    field: str
+    flag: str | None
+    commands: tuple[str, ...]
+    help: str
+
+
+_MATCHING = ("forecast", "sweep", "audit", "validate")
+_PIPELINE = ("forecast", "validate")
+
+PARAMS = {p.key: p for p in (
+    Param("window", int, CorrelatorParams, "w", "--window", _MATCHING,
+          "match window length"),
+    Param("r_threshold", float, CorrelatorParams, "r_threshold", "--r-threshold", _MATCHING,
+          "minimum acceptable window correlation"),
+    Param("std_ratio", _parse_std_ratio, CorrelatorParams, "std_ratio", "--std-ratio", _MATCHING,
+          "forecast dispersion cap as a multiple of the target window std; "
+          "'none' disables the condition"),
+    Param("bug1", _parse_bool, CorrelatorParams, "bug1", "--bug1", _MATCHING,
+          "reproduce the submission cutoff after file position 2138"),
+    Param("bug2", _parse_bool, CorrelatorParams, "bug2", "--bug2", _MATCHING,
+          "compare dispersion against the source window instead of the target window"),
+    Param("past_only", _parse_bool, CorrelatorParams, "past_only", "--past-only", _MATCHING,
+          "skip matches that would consume future-dated values"),
+    Param("include_self", _parse_bool, CorrelatorParams, "include_self", None, (),
+          "whether a target's own earlier windows are eligible sources"),
+    Param("correlator", _parse_bool, ensemble.PipelineConfig, "correlator", "--correlator",
+          _PIPELINE, "enable/disable the window-matching stage"),
+    Param("members", _parse_members, ensemble.PipelineConfig, "members", "--members", _PIPELINE,
+          "comma-separated ensemble members (built-ins: naive, ses, custom)"),
+    Param("external_forecast_paths", _parse_external, ensemble.PipelineConfig, "external",
+          "--external", _PIPELINE, "external member forecasts as name=path[,name=path...]"),
+    Param("horizon", int, ensemble.PipelineConfig, "horizon", "--horizon", _PIPELINE,
+          "forecast horizon (forecast: each series' own by default; validate: also the "
+          f"holdout length, {HOLDOUT_HORIZON} by default)"),
+    Param("threads", int, None, "threads", "--threads", ("evaluate", *_MATCHING),
+          "parallel workers (results are thread-count independent)"),
+)}
 
 
 def load_config(path: str | Path) -> dict:
@@ -104,63 +139,61 @@ def load_config(path: str | Path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
+            if key not in PARAMS:
                 raise ConfigError(
                     f"{path}:{lineno}: unknown config key {key!r}; valid keys are "
-                    f"{', '.join(sorted(CONFIG_KEYS))}"
+                    f"{', '.join(sorted(PARAMS))}"
                 )
             try:
-                values[key] = CONFIG_KEYS[key](text)
+                values[key] = PARAMS[key].parse(text)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 
-def _resolve(flag_value, config: dict, key: str, default):
-    """Flag overrides config overrides default; None/_UNSET flags are unset."""
-    if flag_value is not _UNSET and flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+def _run_values(args) -> dict:
+    """The config file's run values, overridden by the flags given (an
+    unset flag is absent from ``args``)."""
+    config = load_config(args.config) if args.config else {}
+    return {**config, **{key: value for key, value in vars(args).items() if key in PARAMS}}
 
 
-def _load_dataset(args) -> Dataset:
-    dataset = load_m4_values(args.data)
-    if getattr(args, "info", None):
-        dataset = attach_meta(dataset, load_m4_info(args.info))
-    return dataset
-
-
-def _correlator_params(args, config: dict) -> CorrelatorParams:
-    std_ratio = args.std_ratio
-    if isinstance(std_ratio, str):
-        std_ratio = _parse_std_ratio(std_ratio)
-    elif std_ratio is _UNSET:
-        std_ratio = _resolve(_UNSET, config, "std_ratio", 2.5)
-    return CorrelatorParams(
-        w=_resolve(args.window, config, "window", 14),
-        r_threshold=_resolve(args.r_threshold, config, "r_threshold", 0.9999),
-        std_ratio=std_ratio,
-        bug1=_resolve(args.bug1, config, "bug1", False),
-        bug2=_resolve(args.bug2, config, "bug2", False),
-        past_only=_resolve(args.past_only, config, "past_only", False),
-        include_self=_resolve(None, config, "include_self", True),
-    )
-
-
-def _check_past_only(dataset: Dataset, params: CorrelatorParams | None) -> None:
-    """``past_only`` without a start date for every series is a config error."""
-    if params is None:
-        return
+def _usage(fn, *args, **kwargs):
+    """Call ``fn``; a ValueError it raises is a usage error."""
     try:
-        check_past_only(dataset, params)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _threads(args, config: dict) -> int:
-    return _resolve(args.threads, config, "threads", 1)
+def _fields(values: dict, owner: type | None) -> dict:
+    """The run values of ``owner``'s parameters, keyed by field."""
+    return {p.field: values[p.key] for p in PARAMS.values()
+            if p.owner is owner and p.key in values}
+
+
+def _build(cls, values: dict, **fixed):
+    """``cls`` from the run values of its fields; its checks give usage errors."""
+    return _usage(cls, **{**_fields(values, cls), **fixed})
+
+
+def _pipeline(values: dict) -> ensemble.PipelineConfig:
+    """The pipeline of the run values; ``correlator`` false drops the matching stage."""
+    params = _build(CorrelatorParams, values) if values.get("correlator", True) else None
+    return _build(ensemble.PipelineConfig, values, correlator=params)
+
+
+def _load_dataset(args) -> Dataset:
+    dataset = load_m4_values(args.data)
+    if args.info:
+        dataset = attach_meta(dataset, load_m4_info(args.info))
+    return dataset
+
+
+def _check_past_only(dataset: Dataset, params: CorrelatorParams | None) -> None:
+    """``past_only`` without a start date for every series is a config error."""
+    if params is not None:
+        _usage(check_past_only, dataset, params)
 
 
 def _out_dir(args) -> Path:
@@ -176,16 +209,29 @@ def _write_json(payload: dict, path: Path, no_timestamp: bool) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_provenance(forecasts: dict[str, Forecast], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_forecasts(forecasts: dict[str, Forecast], out: Path) -> None:
+    """forecast.csv, and provenance.csv naming the method of each forecast."""
+    write_forecast_csv({sid: fc.values for sid, fc in forecasts.items()}, out / "forecast.csv")
+    with open(out / "provenance.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "method"])
         for sid, fc in forecasts.items():
             writer.writerow([sid, fc.method])
 
 
-def _report_payload(report: metrics.MetricReport) -> dict:
-    return {
+def _score(forecasts: dict, split: HoldoutSplit, m: int,
+           benchmark: dict | None = None) -> metrics.MetricReport:
+    """OWA report of ``forecasts`` against the split's actuals, relative to
+    ``benchmark`` or else to the naive forecast over each test length."""
+    if benchmark is None:
+        benchmark = {sid: naive_forecast(split.train[sid].values, len(split.test[sid]))
+                     for sid in forecasts}
+    return metrics.owa_report(forecasts, benchmark, split, m=m)
+
+
+def _write_report(report: metrics.MetricReport, out: Path, no_timestamp: bool) -> None:
+    """report.json (aggregate and per-series scores) and report.csv."""
+    payload = {
         "aggregate": {
             "mase": report.aggregate_mase,
             "smape": report.aggregate_smape,
@@ -201,62 +247,34 @@ def _report_payload(report: metrics.MetricReport) -> dict:
             sid: {"mase": m, "smape": s} for sid, (m, s) in report.per_series.items()
         },
     }
-
-
-def _write_report_csv(report: metrics.MetricReport, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
+    _write_json(payload, out / "report.json", no_timestamp)
+    with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "mase", "smape"])
         for sid, (m, s) in report.per_series.items():
             writer.writerow([sid, "" if m is None else repr(m), repr(s)])
 
 
-def _pipeline_config(args, config: dict) -> ensemble.PipelineConfig:
-    correlator_on = _resolve(getattr(args, "correlator", None), config, "correlator", True)
-    params = _correlator_params(args, config) if correlator_on else None
-    members = args.members
-    if isinstance(members, str):
-        members = _parse_members(members)
-    else:
-        members = _resolve(_UNSET, config, "members", ensemble.DEFAULT_MEMBERS)
-    external = args.external
-    if isinstance(external, str):
-        external = _parse_external(external)
-    else:
-        external = _resolve(_UNSET, config, "external_forecast_paths", {})
-    try:
-        return ensemble.PipelineConfig(
-            correlator=params,
-            members=members,
-            external=external,
-            horizon=_resolve(args.horizon, config, "horizon", None),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_forecast(args) -> int:
-    config = load_config(args.config) if args.config else {}
+    values = _run_values(args)
+    cfg = _pipeline(values)
+    calls = _fields(values, None)
     dataset = _load_dataset(args)
-    cfg = _pipeline_config(args, config)
     _check_past_only(dataset, cfg.correlator)
-    threads = _threads(args, config)
     out = _out_dir(args)
 
     matches = None
     if cfg.correlator is not None:
-        matches = run_correlator(dataset, cfg.correlator, threads=threads)
-    forecasts = ensemble.pipeline_forecast(dataset, cfg, threads=threads,
-                                           precomputed_matches=matches)
-    write_forecast_csv({sid: fc.values for sid, fc in forecasts.items()}, out / "forecast.csv")
-    _write_provenance(forecasts, out / "provenance.csv")
+        matches = run_correlator(dataset, cfg.correlator, **calls)
+    forecasts = ensemble.pipeline_forecast(dataset, cfg, precomputed_matches=matches, **calls)
+    _write_forecasts(forecasts, out)
     if matches is not None:
         write_matches_csv(matches, out / "correlator_matches.csv")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    config = load_config(args.config) if args.config else {}
+    _run_values(args)  # rejects a bad config file, as every command does
     dataset = _load_dataset(args)
     forecasts = read_forecast_csv(args.forecast)
     test = read_forecast_csv(args.test)
@@ -267,45 +285,39 @@ def cmd_evaluate(args) -> int:
     if missing:
         raise ValueError(f"forecast ids missing from the training data: {missing}")
 
+    benchmark = None
     if args.benchmark:
         benchmark = read_forecast_csv(args.benchmark)
         missing = [sid for sid in forecasts if sid not in benchmark]
         if missing:
             raise ValueError(f"forecast ids missing from the benchmark file: {missing}")
-    else:
-        benchmark = {sid: naive_forecast(dataset[sid].values, len(test[sid]))
-                     for sid in forecasts}
 
-    split = HoldoutSplit(train=dataset, test=test)
-    report = metrics.owa_report(forecasts, benchmark, split, m=args.m)
+    report = _score(forecasts, HoldoutSplit(train=dataset, test=test), args.m, benchmark)
     out = _out_dir(args)
-    _write_json(_report_payload(report), out / "report.json", args.no_timestamp)
-    _write_report_csv(report, out / "report.csv")
+    _write_report(report, out, args.no_timestamp)
     print(f"OWA {report.owa:.6f}  (relative MASE {report.relative_mase:.6f}, "
           f"relative sMAPE {report.relative_smape:.6f})")
     return 0
 
 
-def _parse_grid(text: str, kind):
-    items = [kind(part) for part in text.split(",") if part.strip()]
-    if not items:
-        raise ConfigError(f"empty parameter grid: {text!r}")
-    return items
+def _parse_grid(text: str, flag: str, parse) -> list:
+    try:
+        return [parse(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config) if args.config else {}
+    values = _run_values(args)
+    base = _build(CorrelatorParams, values)
+    combos = [(r, s) for r in _parse_grid(args.r_grid, "--r-grid", float)
+              for s in _parse_grid(args.std_grid, "--std-grid", _parse_std_ratio)]
+    _usage(check_sweep, combos, base)
     dataset = _load_dataset(args)
     test = read_forecast_csv(args.test)
-    threads = _threads(args, config)
-    base = _correlator_params(args, config)
     _check_past_only(dataset, base)
 
-    r_grid = _parse_grid(args.r_grid, float)
-    std_grid = _parse_grid(args.std_grid, _parse_std_ratio)
-    combos = [(r, s) for r in r_grid for s in std_grid]
-
-    results = sweep_correlator(dataset, combos, base, threads=threads)
+    results = sweep_correlator(dataset, combos, base, **_fields(values, None))
     split = HoldoutSplit(train=dataset, test=test)
     out = _out_dir(args)
     with open(out / "sweep.csv", "w", newline="") as fh:
@@ -315,13 +327,11 @@ def cmd_sweep(args) -> int:
         for (r, s), matches in zip(combos, results):
             row = [repr(r), "none" if s is None else repr(s), len(matches),
                    f"{100.0 * len(matches) / max(len(dataset), 1):.4f}"]
-            scored = {sid: m for sid, m in matches.items() if sid in test}
-            if scored:
-                fcs = {sid: np.maximum(m.forecast[: len(test[sid])], 0.0)
-                       for sid, m in scored.items()}
-                benchmark = {sid: naive_forecast(dataset[sid].values, len(test[sid]))
-                             for sid in scored}
-                report = metrics.owa_report(fcs, benchmark, split, m=args.m)
+            fcs = {sid: ensemble.clip_negative(Forecast(sid, m.forecast[: len(test[sid])],
+                                                        "Correlator"))
+                   for sid, m in matches.items() if sid in test}
+            if fcs:
+                report = _score(fcs, split, args.m)
                 row += [repr(report.aggregate_mase), repr(report.aggregate_smape),
                         repr(report.owa)]
             else:
@@ -331,16 +341,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    config = load_config(args.config) if args.config else {}
+    values = _run_values(args)
+    params = _build(CorrelatorParams, values)
+    calls = _fields(values, None)
+    _usage(analysis.check_audit_args, args.audit_threshold, args.bin_width)
     dataset = _load_dataset(args)
-    threads = _threads(args, config)
     exclusions = analysis.load_exclusions_csv(args.exclusions) if args.exclusions else None
-    params = _correlator_params(args, config)
     _check_past_only(dataset, params)
 
     correlator_matches = None
     if args.future_use is not False and any(ts.start_date is not None for ts in dataset):
-        correlator_matches = run_correlator(dataset, params, threads=threads)
+        correlator_matches = run_correlator(dataset, params, **calls)
 
     report = analysis.build_leakage_report(
         dataset,
@@ -348,7 +359,7 @@ def cmd_audit(args) -> int:
         exclusions=exclusions,
         bin_width=args.bin_width,
         correlator_matches=correlator_matches,
-        threads=threads,
+        **calls,
     )
     out = _out_dir(args)
     analysis.write_global_matches_csv(report.set_c, report.categories, out / "matches.csv")
@@ -370,54 +381,47 @@ def cmd_audit(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = load_config(args.config) if args.config else {}
+    values = {"horizon": HOLDOUT_HORIZON, **_run_values(args)}
+    cfg = _pipeline(values)
     dataset = _load_dataset(args)
-    cfg = _pipeline_config(args, config)
     _check_past_only(dataset, cfg.correlator)
-    threads = _threads(args, config)
-    h = cfg.horizon if cfg.horizon is not None else 14
-    split = holdout_split(dataset, h)
-    cfg = ensemble.PipelineConfig(correlator=cfg.correlator, members=cfg.members,
-                                  external=cfg.external, horizon=h)
+    split = holdout_split(dataset, cfg.horizon)
 
-    forecasts = ensemble.pipeline_forecast(split.train, cfg, threads=threads)
-    benchmark = ensemble.naive_benchmark(split.train, horizon=h)
-    report = metrics.owa_report(forecasts, benchmark, split, m=args.m)
+    forecasts = ensemble.pipeline_forecast(split.train, cfg, **_fields(values, None))
+    report = _score(forecasts, split, args.m)
 
     out = _out_dir(args)
-    write_forecast_csv({sid: fc.values for sid, fc in forecasts.items()}, out / "forecast.csv")
-    _write_provenance(forecasts, out / "provenance.csv")
-    _write_json(_report_payload(report), out / "report.json", args.no_timestamp)
-    _write_report_csv(report, out / "report.csv")
+    _write_forecasts(forecasts, out)
+    _write_report(report, out, args.no_timestamp)
     print(f"holdout OWA {report.owa:.6f} over {len(report.per_series)} series")
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, data_required: bool = True) -> None:
-    parser.add_argument("--data", required=data_required, help="M4-format values CSV")
+def _flag_type(parse):
+    """``parse`` as an argparse type, keeping its error message."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """The flags every command takes, then the run parameters ``command`` takes."""
+    parser.add_argument("--data", required=True, help="M4-format values CSV")
     parser.add_argument("--info", help="M4-format info CSV (metadata and start dates)")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--config", help="key = value config file (flags override it)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="parallel workers (results are thread-count independent)")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field from JSON outputs")
-
-
-def _add_correlator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window", type=int, default=None, help="match window length")
-    parser.add_argument("--r-threshold", type=float, default=None,
-                        help="minimum acceptable window correlation")
-    parser.add_argument("--std-ratio", default=_UNSET,
-                        help="forecast dispersion cap as a multiple of the target "
-                             "window std; 'none' disables the condition")
-    parser.add_argument("--bug1", action=argparse.BooleanOptionalAction, default=None,
-                        help="reproduce the submission cutoff after file position 2138")
-    parser.add_argument("--bug2", action=argparse.BooleanOptionalAction, default=None,
-                        help="compare dispersion against the source window instead "
-                             "of the target window")
-    parser.add_argument("--past-only", action=argparse.BooleanOptionalAction, default=None,
-                        help="skip matches that would consume future-dated values")
+    for p in PARAMS.values():
+        if command in p.commands:
+            kind = ({"action": argparse.BooleanOptionalAction} if p.parse is _parse_bool
+                    else {"type": _flag_type(p.parse),
+                          "metavar": p.flag[2:].replace("-", "_").upper()})
+            parser.add_argument(p.flag, dest=p.key, default=argparse.SUPPRESS,
+                                help=p.help, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,41 +432,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("forecast", help="run the forecast pipeline")
-    _add_common(p)
-    _add_correlator_flags(p)
-    p.add_argument("--correlator", action=argparse.BooleanOptionalAction, default=None,
-                   help="enable/disable the window-matching stage")
-    p.add_argument("--members", default=None,
-                   help="comma-separated ensemble members (built-ins: naive, ses, custom)")
-    p.add_argument("--external", default=None,
-                   help="external member forecasts as name=path[,name=path...]")
-    p.add_argument("--horizon", type=int, default=None,
-                   help="forecast horizon (default: per-series horizon)")
-    p.set_defaults(func=cmd_forecast)
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        _add_arguments(p, name)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("evaluate", help="score a forecast file against actuals")
-    _add_common(p)
+    command("forecast", cmd_forecast, "run the forecast pipeline")
+
+    p = command("evaluate", cmd_evaluate, "score a forecast file against actuals")
     p.add_argument("--forecast", required=True, help="forecast CSV to score")
     p.add_argument("--test", required=True, help="actual future values CSV")
     p.add_argument("--benchmark", help="benchmark forecast CSV (default: naive)")
-    p.add_argument("--m", type=int, default=1, help="seasonal-naive lag for MASE")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="grid of correlation/dispersion thresholds")
-    _add_common(p)
-    _add_correlator_flags(p)
+    p = command("sweep", cmd_sweep, "grid of correlation/dispersion thresholds")
     p.add_argument("--test", required=True, help="actual future values CSV")
     p.add_argument("--r-grid", default="0.9999,0.999,0.99",
                    help="comma-separated correlation thresholds")
     p.add_argument("--std-grid", default="2,2.5,3,none",
                    help="comma-separated dispersion caps ('none' = disabled)")
-    p.add_argument("--m", type=int, default=1, help="seasonal-naive lag for MASE")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("audit", help="global cross-correlation leakage audit")
-    _add_common(p)
-    _add_correlator_flags(p)
+    p = command("audit", cmd_audit, "global cross-correlation leakage audit")
     p.add_argument("--audit-threshold", type=float, default=analysis.DEFAULT_AUDIT_THRESHOLD,
                    help="minimum global correlation to retain a match")
     p.add_argument("--bin-width", type=int, default=100,
@@ -471,21 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--future-use", action=argparse.BooleanOptionalAction, default=None,
                    help="also run the forecaster to measure future-data use "
                         "(on when dates are available)")
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("validate", help="holdout split, forecast, and evaluate")
-    _add_common(p)
-    _add_correlator_flags(p)
-    p.add_argument("--correlator", action=argparse.BooleanOptionalAction, default=None,
-                   help="enable/disable the window-matching stage")
-    p.add_argument("--members", default=None,
-                   help="comma-separated ensemble members")
-    p.add_argument("--external", default=None,
-                   help="external member forecasts as name=path[,name=path...]")
-    p.add_argument("--horizon", type=int, default=None,
-                   help="holdout length and forecast horizon (default 14)")
-    p.add_argument("--m", type=int, default=1, help="seasonal-naive lag for MASE")
-    p.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, "holdout split, forecast, and evaluate")
+    for name in ("evaluate", "sweep", "validate"):
+        sub.choices[name].add_argument("--m", type=int, default=1,
+                                       help="seasonal-naive lag for MASE")
 
     return parser
 

@@ -32,7 +32,7 @@ source window instead of the target's final window.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -432,13 +432,22 @@ def run_correlator(dataset: Dataset, params: CorrelatorParams,
     return {ts.id: m for ts, m in zip(dataset, results) if m is not None}
 
 
+def check_sweep(combos, params: CorrelatorParams) -> None:
+    """Raise ValueError for an empty grid or for a (r_threshold, std_ratio)
+    combo that CorrelatorParams rejects."""
+    if not combos:
+        raise ValueError("empty parameter grid")
+    for r, s in combos:
+        replace(params, r_threshold=r, std_ratio=s)
+
+
 def sweep_correlator(dataset: Dataset, combos, params: CorrelatorParams,
                      threads: int = 1) -> list[dict[str, CorrelatorMatch]]:
     """Run every (r_threshold, std_ratio) combo over the dataset with one
-    shared window scan. Returns one id -> match map per combo, in order."""
+    shared window scan. Returns one id -> match map per combo, in order.
+    Every combo is checked (``check_sweep``) before the scan."""
     combos = list(combos)
-    if not combos:
-        raise ValueError("empty parameter grid")
+    check_sweep(combos, params)
     engine = CorrelationEngine(dataset, params)
     per_target = indexed_map(lambda j: engine.sweep(j, combos), len(dataset), threads)
     out = []

@@ -32,7 +32,7 @@ class PipelineConfig:
     ``correlator`` of None disables the matching stage entirely. Members
     name built-in forecasters or keys of ``external`` (forecast CSVs
     produced elsewhere, e.g. by a statistical package). ``horizon`` of None
-    uses each series' own horizon.
+    uses each series' own horizon; a given horizon must be at least 1.
     """
 
     correlator: CorrelatorParams | None = field(default_factory=CorrelatorParams)
@@ -41,6 +41,8 @@ class PipelineConfig:
     horizon: int | None = None
 
     def __post_init__(self):
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.correlator is None and not self.members:
             raise ValueError("at least one ensemble member is required when the "
                              "correlator is disabled")

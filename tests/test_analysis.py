@@ -19,6 +19,7 @@ from corrcast import (
     overlap_histogram,
     run_correlator,
 )
+from corrcast import analysis
 from corrcast.analysis import _next_fast_len
 from corrcast.stats import pearson
 from conftest import make_multi_planted, make_planted
@@ -99,6 +100,23 @@ class TestFindGlobalMatches:
         assert any(m.target_id == "J" and m.source_id == "K" for m in with_pair)
         without = find_global_matches(d, threshold=0.99, exclusions=[("J", "K")])
         assert not any(m.target_id == "J" and m.source_id == "K" for m in without)
+
+    def test_report_counts_excluded_pairs(self, rng):
+        yk = _series(rng, 120)
+        d = Dataset([TimeSeries("J", yk[:60].copy()), TimeSeries("K", yk)])
+        full = build_leakage_report(d, threshold=0.99)
+        report = build_leakage_report(d, threshold=0.99, exclusions=iter([("J", "K")]))
+        assert report.pre_exclusion_count == len(full.set_c) == len(report.set_c) + 1
+        assert (full.excluded_pairs, report.excluded_pairs) == (0, 1)
+
+    @pytest.mark.parametrize("bad", [{"bin_width": 0}, {"threshold": 1.5}, {"threshold": -1.01}])
+    def test_report_checks_args_before_the_scan(self, rng, monkeypatch, bad):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan ran before the arguments were checked")
+
+        monkeypatch.setattr(analysis, "find_global_matches", no_scan)
+        with pytest.raises(ValueError, match="bin width|audit threshold"):
+            build_leakage_report(Dataset([TimeSeries("J", _series(rng, 60))]), **bad)
 
     def test_empty_dataset(self):
         assert find_global_matches(Dataset([])) == []

@@ -1,5 +1,6 @@
 """End-to-end command tests on temp directories."""
 
+import argparse
 import csv
 import json
 from datetime import date
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from corrcast import Dataset, TimeSeries, write_forecast_csv, write_values_csv
-from corrcast.cli import main
+from corrcast.cli import PARAMS, _run_values, build_parser, main
 from conftest import make_multi_planted, make_planted
 
 
@@ -341,3 +342,157 @@ class TestPastOnlyNeedsDates:
         info = _write_info(d, tmp / "info.csv")
         assert main(["forecast", "--data", data, "--info", info, "--out", str(tmp / "o"),
                      "--past-only"]) == 0
+
+
+def _exit_code(argv):
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture
+def toy_env(tmp_path, rng):
+    d = Dataset([TimeSeries(f"A{i}", np.abs(rng.normal(10, 2, 60))) for i in range(4)])
+    data = _write_dataset(d, tmp_path / "train.csv")
+    test = _write_test_values(d, tmp_path / "test.csv", rng)
+    return data, test, tmp_path
+
+
+class TestInvalidValues:
+    """An invalid run value is a usage error: exit 2, the parameter named
+    on stderr, and nothing written."""
+
+    CASES = {
+        "window": (["forecast", "--window", "1"], "window"),
+        "r_threshold": (["forecast", "--r-threshold", "1.5"], "r_threshold"),
+        "std_ratio_text": (["forecast", "--std-ratio", "abc"], "--std-ratio"),
+        "std_ratio_negative": (["validate", "--std-ratio", "-1"], "std_ratio"),
+        "horizon": (["forecast", "--no-correlator", "--horizon", "0"], "horizon"),
+        "validate_horizon": (["validate", "--horizon", "0"], "horizon"),
+        "external": (["forecast", "--external", "nopath"], "--external"),
+        "r_grid_text": (["sweep", "--r-grid", "abc"], "--r-grid"),
+        "r_grid_range": (["sweep", "--r-grid", "1.5"], "r_threshold"),
+        "std_grid_negative": (["sweep", "--std-grid", "-1"], "std_ratio"),
+        "bin_width": (["audit", "--bin-width", "0"], "bin width"),
+        "audit_threshold": (["audit", "--audit-threshold", "1.5"], "audit threshold"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_the_parameter(self, toy_env, capsys, case):
+        data, test, tmp = toy_env
+        argv, name = self.CASES[case]
+        out = tmp / "out"
+        argv = [*argv, "--data", data, "--out", str(out)]
+        if argv[0] == "sweep":
+            argv += ["--test", test]
+        assert _exit_code(argv) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_config_value_exits_2(self, toy_env, capsys):
+        data, _, tmp = toy_env
+        cfg = tmp / "run.cfg"
+        cfg.write_text("window = 1\n")
+        out = tmp / "out"
+        assert main(["forecast", "--data", data, "--out", str(out), "--config", str(cfg)]) == 2
+        assert "window" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Per flag row: (config text A, flag argv A, config text B); B differs from
+# A, so a flag that failed to override the config would show.
+FLAG_ROWS = {
+    "window": ("10", ["--window", "10"], "12"),
+    "r_threshold": ("0.99", ["--r-threshold", "0.99"], "0.9999"),
+    "std_ratio": ("none", ["--std-ratio", "none"], "2"),
+    "bug1": ("true", ["--bug1"], "false"),
+    "bug2": ("true", ["--bug2"], "false"),
+    "past_only": ("true", ["--past-only"], "false"),
+    "correlator": ("false", ["--no-correlator"], "true"),
+    "members": ("naive", ["--members", "naive"], "naive,ses"),
+    "external_forecast_paths": ("ext=ext_a.csv", ["--external", "ext=ext_a.csv"],
+                                "ext=ext_b.csv"),
+    "horizon": ("7", ["--horizon", "7"], "5"),
+    "threads": ("2", ["--threads", "2"], "1"),
+}
+
+
+class TestFlagsAndConfig:
+    """Every run parameter with a flag: the config file and the flag give the
+    same run, and the flag overrides the config."""
+
+    @pytest.fixture
+    def env(self, planted_env):
+        d, _, data, _, tmp = planted_env
+        for name, level in (("ext_a.csv", 1.0), ("ext_b.csv", 50.0)):
+            write_forecast_csv({ts.id: np.full(14, level) for ts in d}, tmp / name)
+        info = _write_info(d, tmp / "info.csv")
+        return data, info, tmp
+
+    def _run(self, env, name, flags=(), config=""):
+        data, info, tmp = env
+        argv = ["forecast", "--data", data, "--info", info, "--out", str(tmp / name),
+                "--config", str(tmp / f"{name}.cfg"), *flags]
+        (tmp / f"{name}.cfg").write_text(
+            f"members = naive,ext\nexternal_forecast_paths = ext=ext_a.csv\n{config}\n")
+        values = _run_values(build_parser().parse_args(argv))
+        assert main(argv) == 0
+        return values, {p.name: p.read_bytes() for p in sorted((tmp / name).iterdir())}
+
+    def test_every_flag_row_is_covered(self):
+        assert set(FLAG_ROWS) == {key for key, p in PARAMS.items() if p.flag}
+
+    @pytest.mark.filterwarnings("ignore:match for")
+    @pytest.mark.parametrize("key", sorted(FLAG_ROWS))
+    def test_config_equals_flag_and_flag_overrides(self, env, key, monkeypatch):
+        monkeypatch.chdir(env[2])  # external paths are relative
+        text_a, flag_a, text_b = FLAG_ROWS[key]
+        by_flag = self._run(env, "flag", flag_a)
+        assert self._run(env, "config", config=f"{key} = {text_a}") == by_flag
+        assert self._run(env, "override", flag_a, config=f"{key} = {text_b}") == by_flag
+        assert by_flag[0][key] == PARAMS[key].parse(text_a) != PARAMS[key].parse(text_b)
+
+
+class TestOptionPin:
+    """No knob is added or lost: each subcommand's option strings and the
+    config keys are pinned."""
+
+    MATCHING = {"--window", "--r-threshold", "--std-ratio", "--bug1", "--no-bug1",
+                "--bug2", "--no-bug2", "--past-only", "--no-past-only"}
+    COMMON = {"-h", "--help", "--data", "--info", "--out", "--config", "--threads",
+              "--no-timestamp"}
+    PIPELINE = {"--correlator", "--no-correlator", "--members", "--external", "--horizon"}
+    OPTIONS = {
+        "forecast": COMMON | MATCHING | PIPELINE,
+        "evaluate": COMMON | {"--forecast", "--test", "--benchmark", "--m"},
+        "sweep": COMMON | MATCHING | {"--test", "--r-grid", "--std-grid", "--m"},
+        "audit": COMMON | MATCHING | {"--audit-threshold", "--bin-width", "--exclusions",
+                                      "--future-use", "--no-future-use"},
+        "validate": COMMON | MATCHING | PIPELINE | {"--m"},
+    }
+
+    def test_option_strings(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.OPTIONS)
+        for name, sp in sub.choices.items():
+            options = [s for action in sp._actions for s in action.option_strings]
+            assert len(options) == len(set(options))
+            assert set(options) == self.OPTIONS[name], name
+
+    def test_config_keys(self):
+        assert sorted(PARAMS) == sorted([
+            "window", "r_threshold", "std_ratio", "bug1", "bug2", "past_only",
+            "include_self", "correlator", "members", "external_forecast_paths",
+            "horizon", "threads",
+        ])
+        assert PARAMS["include_self"].flag is None
+
+    def test_bench_defaults(self):
+        # Defaults the benchmark reads through build_parser().
+        parse = build_parser().parse_args
+        sweep = parse(["sweep", "--data", "-", "--out", "-", "--test", "-"])
+        assert (sweep.r_grid, sweep.std_grid) == ("0.9999,0.999,0.99", "2,2.5,3,none")
+        assert parse(["audit", "--data", "-", "--out", "-"]).bin_width == 100

@@ -300,6 +300,16 @@ class TestMonotonicity:
         ]
         assert counts == sorted(counts)
 
+    @pytest.mark.parametrize("bad", [(1.5, None), (0.99, -1.0), (-0.5, 2.5)])
+    def test_sweep_rejects_invalid_combo(self, rng, bad):
+        d = _graded_dataset(rng)
+        with pytest.raises(ValueError):
+            sweep_correlator(d, [(0.99, 2.5), bad], CorrelatorParams())
+
+    def test_sweep_rejects_empty_grid(self, rng):
+        with pytest.raises(ValueError, match="empty parameter grid"):
+            sweep_correlator(_graded_dataset(rng), [], CorrelatorParams())
+
     def test_sweep_matches_individual_runs(self, rng):
         d = _graded_dataset(rng)
         combos = [(r, s) for r in (0.9999, 0.99) for s in (2.0, 2.5, None)]

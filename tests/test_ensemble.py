@@ -159,6 +159,8 @@ class TestPipeline:
             PipelineConfig(correlator=None, members=())
         with pytest.raises(ValueError, match="unknown ensemble members"):
             PipelineConfig(members=("naive", "mystery"))
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            PipelineConfig(horizon=0)
 
     def test_correlator_params_accepted(self, rng):
         d, plant = make_planted(rng)
