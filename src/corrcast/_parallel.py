@@ -20,9 +20,17 @@ def _invoke(i):
     return _WORK(i)
 
 
+def check_threads(threads: int) -> int:
+    """Return ``threads``; raise ValueError when it is below 1."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
 def indexed_map(work, n: int, threads: int = 1) -> list:
-    """Return [work(0), ..., work(n-1)], optionally computed in parallel."""
-    if threads <= 1 or n <= 1:
+    """Return [work(0), ..., work(n-1)], optionally computed in parallel;
+    ValueError for ``threads`` below 1."""
+    if check_threads(threads) == 1 or n <= 1:
         return [work(i) for i in range(n)]
     try:
         ctx = mp.get_context("fork")

@@ -6,10 +6,13 @@ For a target series the scan slides every other series past it and, at
 each alignment ending at window position tau, correlates the whole
 overlapping region (length min(n_target, tau)) rather than a fixed short
 window. Cross terms for all alignments of one pair are a single linear
-convolution of the reversed target with the source, so large pairs go
-through a cached real FFT while small pairs use a direct convolution;
-segment sums come from per-series prefix sums. Only the best match per
-target is kept (no all-pairs matrix is materialized).
+convolution of the reversed target with the source, taken by FFT at the
+pair's own length (the smallest 5-smooth one that holds it); sources that
+share that length go through one 2-D transform, and no spectrum outlives
+its target. Segment sums come from per-series prefix sums, and r' is
+evaluated for all alignments at once in fixed-size chunks of flat arrays.
+Only the best match per target is kept (no all-pairs matrix is
+materialized).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._parallel import indexed_map
-from .correlator import CorrelatorMatch, match_uses_future
+from .correlator import CorrelatorMatch
 from .dataset import Dataset
 from .stats import pearson
 
@@ -33,9 +36,15 @@ DEFAULT_AUDIT_THRESHOLD = 0.995
 # mirroring the forecaster's non-terminal window rule.
 DEFAULT_MARGIN = 14
 
-# Pairs with fewer multiply-adds than this use a direct convolution; the
-# FFT path only pays off for long overlaps.
+# Not read by the scan: every pair takes its FFT path. bench/corpus.py sizes
+# the audit corpus's shortest series from it, so the value stays fixed to
+# keep those corpora and their recorded outputs unchanged.
 DEFAULT_FFT_MIN_WORK = 1 << 20
+
+# Alignments per block of the r' evaluation; a 2-D FFT batch holds up to
+# 4 * _CHUNK values, as its three arrays take about what the dozen r'
+# temporaries take. Bounds the scan's temporaries whatever the dataset size.
+_CHUNK = 1 << 13
 
 # Variance floor (on globally standardized values) below which an
 # overlapping segment counts as constant and is skipped.
@@ -76,19 +85,20 @@ class LeakageReport:
         return self.pre_exclusion_count - len(self.set_c)
 
 
-def _next_fast_len(n: int) -> int:
-    """Smallest 2**a * 3**b * 5**c >= n, a length pocketfft transforms fast."""
-    m = max(n, 1) - 1
-    best = 1 << m.bit_length()
+def _fast_lengths(n: int) -> np.ndarray:
+    """Every 2**a * 3**b * 5**c up to the first power of two >= n, ascending:
+    the lengths pocketfft transforms fast. ``ladder[np.searchsorted(ladder,
+    x)]`` is the smallest such length >= x for any 1 <= x <= n."""
+    top = 1 << (max(n, 1) - 1).bit_length()
+    rungs = []
     p5 = 1
-    while p5 < best:
+    while p5 <= top:
         p35 = p5
-        while p35 < best:
-            # The smallest p35 * 2**a >= n.
-            best = min(best, p35 << (m // p35).bit_length())
+        while p35 <= top:
+            rungs += [p35 << a for a in range((top // p35).bit_length())]
             p35 *= 3
         p5 *= 5
-    return best
+    return np.unique(np.array(rungs, dtype=np.int64))
 
 
 def global_cross_correlation(j: int, k: int, tau: int, dataset: Dataset,
@@ -110,52 +120,77 @@ def global_cross_correlation(j: int, k: int, tau: int, dataset: Dataset,
 
 
 class GlobalScanEngine:
-    """Precomputed state for the all-pairs best-match scan."""
+    """Flat state for the all-pairs best-match scan: the standardized
+    values and their prefix sums concatenated per series, and every
+    alignment (source k, window end tau) in (k, tau) order."""
 
-    def __init__(self, dataset: Dataset, margin: int = DEFAULT_MARGIN,
-                 fft_min_work: int = DEFAULT_FFT_MIN_WORK):
+    def __init__(self, dataset: Dataset, margin: int = DEFAULT_MARGIN):
         self.dataset = dataset
         self.margin = margin
-        self.fft_min_work = fft_min_work
-        self.standardized: list[np.ndarray | None] = []
-        self.prefix: list[np.ndarray | None] = []
-        self.prefix_sq: list[np.ndarray | None] = []
-        lengths = []
+        values, sizes = [], []
         for ts in dataset:
             v = ts.values
+            z = np.zeros(0)
             if v.size >= 2:
                 centered = v - v.mean()
                 scale = np.sqrt(np.dot(centered, centered) / v.size)
                 if scale > 0.0:
                     z = centered / scale
-                    self.standardized.append(z)
-                    self.prefix.append(np.concatenate(([0.0], np.cumsum(z))))
-                    self.prefix_sq.append(np.concatenate(([0.0], np.cumsum(z * z))))
-                    lengths.append(v.size)
-                    continue
-            # Constant or single-point series: no valid segments either way.
-            self.standardized.append(None)
-            self.prefix.append(None)
-            self.prefix_sq.append(None)
-        max_n = max(lengths, default=0)
-        self.fft_len = _next_fast_len(2 * max_n - 1)
-        # Cache source-side FFTs only for series that can appear in a pair
-        # large enough to take the FFT path.
-        self._rfft: dict[int, np.ndarray] = {}
-        for k, z in enumerate(self.standardized):
-            if z is not None and z.size * max_n >= fft_min_work:
-                self._rfft[k] = np.fft.rfft(z, self.fft_len)
+            # Constant or single-point series keep size 0: no valid segments.
+            values.append(z)
+            sizes.append(z.size)
+        self._size = np.array(sizes, dtype=np.int64)
+        self._start = np.concatenate(([0], np.cumsum(self._size)))
+        self._z = np.concatenate([np.zeros(0), *values])
+        # Series k's prefix sums, a leading 0 included, start at _start[k] + k.
+        self._prefix = np.concatenate([np.zeros(0)] + [
+            np.concatenate(([0.0], np.cumsum(z))) for z in values])
+        self._prefix_sq = np.concatenate([np.zeros(0)] + [
+            np.concatenate(([0.0], np.cumsum(z * z))) for z in values])
+        # Sources with at least one alignment tau in [max(w, 1), n_k - w];
+        # tau = 0 has no overlap to correlate.
+        w = margin
+        self._lo = max(w, 1)
+        self._sources = np.flatnonzero(self._size >= max(2 * w, 2))
+        counts = self._size[self._sources] - w - self._lo + 1
+        self._align_start = np.concatenate(([0], np.cumsum(counts)))
+        self._tau = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            np.arange(self._lo, self._size[k] - w + 1) for k in self._sources])
+        self._end = self._tau + np.repeat(self._start[self._sources] + self._sources, counts)
+        # Sources in length order, so every target's pair lengths ascend.
+        self._by_size = np.argsort(self._size[self._sources], kind="stable")
+        self._ladder = _fast_lengths(2 * int(self._size.max(initial=1)))
 
-    def _cross_terms(self, u: np.ndarray, u_fft, k: int) -> tuple[np.ndarray, object]:
-        """Full convolution of the reversed target with source k; the value
-        at output index tau-1 is the overlap dot product at alignment tau."""
-        z = self.standardized[k]
-        if u.size * z.size < self.fft_min_work or k not in self._rfft:
-            return np.convolve(u, z), u_fft
-        if u_fft is None:
-            u_fft = np.fft.rfft(u, self.fft_len)
-        conv = np.fft.irfft(u_fft * self._rfft[k], self.fft_len)
-        return conv[: u.size + z.size - 1], u_fft
+    def _cross_terms(self, j: int) -> np.ndarray:
+        """Overlap dot products of target j with every alignment, in (k,
+        tau) order: for each pair the full convolution of the reversed
+        target with the source, whose value at index tau - 1 is the dot
+        product at tau. Sources are transformed in 2-D batches that share
+        the pair's FFT length, the smallest 5-smooth one >= n_j + n_k - 1."""
+        n_j, lo, w = int(self._size[j]), self._lo, self.margin
+        u = self._z[self._start[j]: self._start[j] + n_j][::-1]
+        order = self._by_size
+        sizes = self._size[self._sources[order]]
+        rungs = self._ladder[np.searchsorted(self._ladder, n_j + sizes - 1)]
+        cross = np.empty(self._tau.size)
+        first = 0
+        while first < order.size:
+            n_fft = int(rungs[first])
+            last = min(int(np.searchsorted(rungs, n_fft, side="right")),
+                       first + max(1, 4 * _CHUNK // n_fft))
+            # Row 0 is the target, so one 2-D transform gives its spectrum too.
+            batch = np.zeros((1 + last - first, n_fft))
+            batch[0, :n_j] = u
+            for row, i in enumerate(order[first:last], start=1):
+                k = self._sources[i]
+                batch[row, : sizes[first + row - 1]] = self._z[self._start[k]: self._start[k + 1]]
+            spectra = np.fft.rfft(batch)
+            conv = np.fft.irfft(spectra[1:] * spectra[0], n_fft)
+            for row, i in enumerate(order[first:last]):
+                cross[self._align_start[i]: self._align_start[i + 1]] = \
+                    conv[row, lo - 1: sizes[first + row] - w]
+            first = last
+        return cross
 
     def best_match(self, j: int) -> tuple[int, int, float, int] | None:
         """Best (source, tau, r', overlap) for target j, or None.
@@ -163,58 +198,60 @@ class GlobalScanEngine:
         Ties are resolved toward the smallest source index, then the
         smallest tau.
         """
-        zj = self.standardized[j]
-        if zj is None:
+        n_j = int(self._size[j])
+        if n_j == 0:
             return None
-        n_j = zj.size
-        pj, pj_sq = self.prefix[j], self.prefix_sq[j]
-        u = zj[::-1]
-        u_fft = None
-        w = self.margin
-        best = None
-        for k, zk in enumerate(self.standardized):
-            if zk is None or zk.size < 2 * w:
-                continue
-            n_k = zk.size
-            taus = np.arange(w, n_k - w + 1)
-            m = np.minimum(taus, n_j)
-            cross, u_fft = self._cross_terms(u, u_fft, k)
-            cross = cross[taus - 1]
-            pk, pk_sq = self.prefix[k], self.prefix_sq[k]
-            sum_b = pk[taus] - pk[taus - m]
-            sumsq_b = pk_sq[taus] - pk_sq[taus - m]
-            sum_a = pj[n_j] - pj[n_j - m]
-            sumsq_a = pj_sq[n_j] - pj_sq[n_j - m]
-            mu_a = sum_a / m
+        cross = self._cross_terms(j)
+        p0 = self._start[j] + j
+        pj = self._prefix[p0: p0 + n_j + 1]
+        pj_sq = self._prefix_sq[p0: p0 + n_j + 1]
+        # Target-side moments of the final m points, and whether m >= 2 and
+        # var_a passes the floor, by overlap m.
+        overlaps = np.arange(n_j + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu_a_of = (pj[n_j] - pj[n_j - overlaps]) / overlaps
+            var_a_of = (pj_sq[n_j] - pj_sq[n_j - overlaps]) / overlaps - mu_a_of * mu_a_of
+        valid_a_of = (overlaps >= 2) & (var_a_of > _SEGMENT_VAR_FLOOR)
+        best, best_r = -1, -np.inf
+        for at in range(0, cross.size, _CHUNK):
+            chunk = slice(at, at + _CHUNK)
+            m = np.minimum(self._tau[chunk], n_j)
+            end = self._end[chunk]
+            start = end - m
+            sum_b = self._prefix[end] - self._prefix[start]
+            sumsq_b = self._prefix_sq[end] - self._prefix_sq[start]
+            mu_a, var_a, valid = mu_a_of[m], var_a_of[m], valid_a_of[m]
+            # Cast once: every int-float operation below would cast again.
+            m = m.astype(np.float64)
             mu_b = sum_b / m
-            var_a = sumsq_a / m - mu_a * mu_a
             var_b = sumsq_b / m - mu_b * mu_b
-            valid = (m >= 2) & (var_a > _SEGMENT_VAR_FLOOR) & (var_b > _SEGMENT_VAR_FLOOR)
-            if not valid.any():
-                continue
+            valid &= var_b > _SEGMENT_VAR_FLOOR
             with np.errstate(divide="ignore", invalid="ignore"):
-                r = (cross - m * mu_a * mu_b) / (m * np.sqrt(var_a * var_b))
-            r = np.clip(r, -1.0, 1.0)
+                r = cross[chunk] - m * mu_a * mu_b
+                r /= m * np.sqrt(var_a * var_b)
+            np.clip(r, -1.0, 1.0, out=r)
             r[~valid] = -np.inf
             pos = int(np.argmax(r))
-            if r[pos] == -np.inf:
-                continue
-            if best is None or r[pos] > best[2]:
-                best = (k, int(taus[pos]), float(r[pos]), int(m[pos]))
-        return best
+            # Strict: an equal r' later in (k, tau) order does not win.
+            if r[pos] > best_r:
+                best, best_r = at + pos, r[pos]
+        if best < 0:
+            return None
+        source = np.searchsorted(self._align_start, best, side="right") - 1
+        tau = int(self._tau[best])
+        return int(self._sources[source]), tau, float(best_r), min(tau, n_j)
 
 
 def find_global_matches(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRESHOLD,
                         exclusions: Iterable[tuple[str, str]] | None = None,
-                        margin: int = DEFAULT_MARGIN, threads: int = 1,
-                        fft_min_work: int = DEFAULT_FFT_MIN_WORK) -> list[GlobalMatch]:
+                        margin: int = DEFAULT_MARGIN, threads: int = 1) -> list[GlobalMatch]:
     """Best global match per target, kept when r' reaches the threshold and
     the (target, source) id pair is not excluded.
 
     The exclusion list models manually discarded pairs (e.g. alignments
     driven by a single large jump in both series).
     """
-    engine = GlobalScanEngine(dataset, margin=margin, fft_min_work=fft_min_work)
+    engine = GlobalScanEngine(dataset, margin=margin)
     results = indexed_map(engine.best_match, len(dataset), threads)
     matches = []
     for ts, best in zip(dataset, results):
@@ -272,31 +309,25 @@ def overlap_histogram(matches: Sequence[GlobalMatch], bin_width: int) -> np.ndar
 
 
 def future_use_stats(matches: Iterable[CorrelatorMatch], dataset: Dataset) -> float:
-    """Fraction of forecaster matches that consumed future-dated values.
+    """Fraction of forecaster matches that consumed future-dated values, read
+    from each match's ``used_future``.
 
-    Requires start dates for every involved series; load the info file and
-    attach it to the dataset if this raises.
+    That flag is None exactly when a start date is missing on either side;
+    load the info file and attach it to the dataset if this raises. The
+    flags were set from ``dataset``'s dates when the matches were made.
     """
     if isinstance(matches, Mapping):
         matches = matches.values()
-    flags, undated = [], []
-    for m in matches:
-        target = dataset[m.target_id]
-        source = dataset[m.source_id]
-        flag = match_uses_future(
-            source.start_date, m.tau, len(m.forecast), target.start_date, len(target)
-        )
-        flags.append(flag)
-        if flag is None:
-            undated.append(f"({m.target_id}, {m.source_id})")
+    matches = list(matches)
+    undated = [f"({m.target_id}, {m.source_id})" for m in matches if m.used_future is None]
     if undated:
         raise ValueError(
-            f"start dates missing for {len(undated)} of {len(flags)} matched pairs (first: "
+            f"start dates missing for {len(undated)} of {len(matches)} matched pairs (first: "
             f"{', '.join(undated[:5])}); supply the info file to enable future-use statistics"
         )
-    if not flags:
+    if not matches:
         raise ValueError("no matches to analyze")
-    return float(np.mean(flags))
+    return float(np.mean([m.used_future for m in matches]))
 
 
 def check_audit_args(threshold: float, bin_width: int) -> None:
@@ -311,14 +342,13 @@ def build_leakage_report(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRE
                          exclusions: Iterable[tuple[str, str]] | None = None,
                          bin_width: int = 100,
                          correlator_matches: Mapping[str, CorrelatorMatch] | None = None,
-                         margin: int = DEFAULT_MARGIN, threads: int = 1,
-                         fft_min_work: int = DEFAULT_FFT_MIN_WORK) -> LeakageReport:
+                         margin: int = DEFAULT_MARGIN, threads: int = 1) -> LeakageReport:
     """Run the complete audit and assemble a LeakageReport; the future-use
     fraction is None, with a warning, when a matched pair lacks a start date.
     The threshold and bin width are checked before the scan."""
     check_audit_args(threshold, bin_width)
     unfiltered = find_global_matches(dataset, threshold=threshold, margin=margin,
-                                     threads=threads, fft_min_work=fft_min_work)
+                                     threads=threads)
     matches = _drop_excluded(unfiltered, exclusions)
     categories = categorize(matches, dataset)
     histogram = overlap_histogram(matches, bin_width)

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import analysis, ensemble, metrics
+from ._parallel import check_threads
 from .correlator import (
     CorrelatorParams,
     check_past_only,
@@ -62,6 +63,10 @@ def _parse_std_ratio(text: str):
     if value in ("none", "off", "-", "disabled"):
         return None
     return float(text)
+
+
+def _parse_threads(text: str) -> int:
+    return check_threads(int(text))
 
 
 def _parse_members(text: str) -> tuple[str, ...]:
@@ -123,7 +128,7 @@ PARAMS = {p.key: p for p in (
     Param("horizon", int, ensemble.PipelineConfig, "horizon", "--horizon", _PIPELINE,
           "forecast horizon (forecast: each series' own by default; validate: also the "
           f"holdout length, {HOLDOUT_HORIZON} by default)"),
-    Param("threads", int, None, "threads", "--threads", ("evaluate", *_MATCHING),
+    Param("threads", _parse_threads, None, "threads", "--threads", ("evaluate", *_MATCHING),
           "parallel workers (results are thread-count independent)"),
 )}
 
@@ -315,6 +320,10 @@ def cmd_sweep(args) -> int:
     _usage(check_sweep, combos, base)
     dataset = _load_dataset(args)
     test = read_forecast_csv(args.test)
+    longest = max(map(len, test.values()), default=0)
+    if longest > base.w:
+        raise ConfigError(f"the test file holds up to {longest} values per series, more than "
+                          f"the window w = {base.w}: a match forecasts w values")
     _check_past_only(dataset, base)
 
     results = sweep_correlator(dataset, combos, base, **_fields(values, None))

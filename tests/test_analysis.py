@@ -1,12 +1,16 @@
 """Leakage-audit tests: global correlation scan, categories, histograms."""
 
+import importlib.util
+import sys
 import warnings
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from corrcast import (
+    CorrelatorMatch,
     CorrelatorParams,
     Dataset,
     TimeSeries,
@@ -20,7 +24,7 @@ from corrcast import (
     run_correlator,
 )
 from corrcast import analysis
-from corrcast.analysis import _next_fast_len
+from corrcast.analysis import _fast_lengths
 from corrcast.stats import pearson
 from conftest import make_multi_planted, make_planted
 
@@ -130,18 +134,6 @@ class TestFindGlobalMatches:
         par = find_global_matches(d, threshold=0.5, threads=4)
         assert [(m.target_id, m.source_id, m.tau, m.r_prime) for m in seq] == \
                [(m.target_id, m.source_id, m.tau, m.r_prime) for m in par]
-
-    def test_fft_and_direct_backends_agree(self, rng):
-        base = _series(rng, 1500)
-        copy = base[:900] + rng.normal(0, 0.001, 900)
-        extra = _series(rng, 700)
-        d = Dataset([TimeSeries("A", base), TimeSeries("B", copy), TimeSeries("X", extra)])
-        via_fft = find_global_matches(d, threshold=0.9, fft_min_work=1)
-        direct = find_global_matches(d, threshold=0.9, fft_min_work=10**15)
-        assert len(via_fft) == len(direct)
-        for a, b in zip(via_fft, direct):
-            assert (a.target_id, a.source_id, a.tau) == (b.target_id, b.source_id, b.tau)
-            assert a.r_prime == pytest.approx(b.r_prime, abs=1e-9)
 
     def test_overlap_14_degenerates_to_window_correlation(self, rng):
         # A 14-point target makes every overlap 14, so the global scan and
@@ -281,6 +273,18 @@ class TestFutureUse:
         with pytest.raises(ValueError, match="info file"):
             future_use_stats(matches, d)
 
+    def test_reads_each_match_flag(self, rng):
+        # The flags were set when the matches were made; the dataset's dates
+        # are not consulted again (these series have none).
+        d = Dataset([TimeSeries("A", _series(rng, 60)), TimeSeries("B", _series(rng, 60))])
+        fc = np.zeros(W)
+        flagged = {"A": CorrelatorMatch("A", "B", 20, 0.99, fc, used_future=True),
+                   "B": CorrelatorMatch("B", "A", 30, 0.99, fc, used_future=False)}
+        assert future_use_stats(flagged, d) == 0.5
+        flagged["B"] = CorrelatorMatch("B", "A", 30, 0.99, fc, used_future=None)
+        with pytest.raises(ValueError, match=r"1 of 2 matched pairs \(first: \(B, A\)\)"):
+            future_use_stats(flagged, d)
+
     def test_partly_dated_report_warns(self, rng):
         d, _ = make_multi_planted(rng, n_series=5)
         dated = {"P1", "P2", "P3"}
@@ -307,7 +311,37 @@ class TestFutureUse:
             assert build_leakage_report(d, correlator_matches={}).future_use_fraction is None
 
 
+def _bench_corpus():
+    """The benchmark's corpus generator, imported from bench/ by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_planted_leaks_recovered_exactly(tmp_path):
+    # The audit-leaky corpus: 64 ragged series with planted T1-T4 leaks whose
+    # ground truth the generator confirmed with the slow oracles.
+    corpus = _bench_corpus().generate("audit-leaky", 0, tmp_path)
+    truth = corpus.truth
+    report = build_leakage_report(corpus.dataset)
+    label = {(m.target_id, m.source_id, m.tau): c
+             for c, found in report.categories.items() for m in found}
+    assert {(*key, c) for key, c in label.items()} == {
+        (p["target"], p["source"], p["tau"], p["category"]) for p in truth["leak_plants"]}
+    overlaps = {(m.target_id, m.source_id, m.tau): m.overlap for m in report.set_c}
+    assert all(overlaps[(p["target"], p["source"], p["tau"])] == p["overlap"]
+               for p in truth["leak_plants"])
+    counts = {c: len(found) for c, found in report.categories.items()}
+    assert counts == {**truth["leak_counts"], "date_unknown": 0}
+
+
 def test_next_fast_len_matches_scipy():
+    # The scan's FFT length for n is the ladder's first rung >= n.
     fft = pytest.importorskip("scipy.fft")
-    for n in range(1, 70001):
-        assert _next_fast_len(n) == fft.next_fast_len(n, real=True), n
+    ladder = _fast_lengths(70000)
+    rungs = ladder[np.searchsorted(ladder, np.arange(1, 70001))]
+    for n, rung in enumerate(rungs.tolist(), start=1):
+        assert rung == fft.next_fast_len(n, real=True), n

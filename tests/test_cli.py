@@ -8,7 +8,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from corrcast import Dataset, TimeSeries, write_forecast_csv, write_values_csv
+from corrcast import Dataset, TimeSeries, load_m4_values, write_forecast_csv, write_values_csv
 from corrcast.cli import PARAMS, _run_values, build_parser, main
 from conftest import make_multi_planted, make_planted
 
@@ -377,6 +377,9 @@ class TestInvalidValues:
         "std_grid_negative": (["sweep", "--std-grid", "-1"], "std_ratio"),
         "bin_width": (["audit", "--bin-width", "0"], "bin width"),
         "audit_threshold": (["audit", "--audit-threshold", "1.5"], "audit threshold"),
+        **{f"threads_{cmd}": ([cmd, "--threads", value], "--threads")
+           for cmd, value in (("forecast", "0"), ("sweep", "-3"), ("audit", "0"),
+                              ("validate", "-1"), ("evaluate", "0"))},
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -387,8 +390,34 @@ class TestInvalidValues:
         argv = [*argv, "--data", data, "--out", str(out)]
         if argv[0] == "sweep":
             argv += ["--test", test]
+        if argv[0] == "evaluate":
+            argv += ["--test", test, "--forecast", test]
         assert _exit_code(argv) == 2
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["forecast", "evaluate", "sweep", "audit", "validate"])
+    def test_threads_config_value_exits_2(self, toy_env, capsys, command):
+        data, test, tmp = toy_env
+        cfg = tmp / "run.cfg"
+        cfg.write_text("threads = 0\n")
+        out = tmp / "out"
+        extra = {"sweep": ["--test", test], "evaluate": ["--test", test, "--forecast", test]}
+        argv = [command, "--data", data, "--out", str(out), "--config", str(cfg),
+                *extra.get(command, [])]
+        assert main(argv) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_test_longer_than_window_exits_2(self, toy_env, capsys, rng):
+        # A match forecasts w values, so it cannot be scored on 20.
+        data, _, tmp = toy_env
+        d = load_m4_values(data)
+        test = _write_test_values(d, tmp / "long_test.csv", rng, h=20)
+        out = tmp / "out"
+        assert main(["sweep", "--data", data, "--test", test, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "20 values" in err and "w = 14" in err
         assert not out.exists()
 
     def test_invalid_config_value_exits_2(self, toy_env, capsys):
