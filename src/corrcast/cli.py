@@ -183,9 +183,11 @@ def _build(cls, values: dict, **fixed):
 
 
 def _pipeline(values: dict) -> ensemble.PipelineConfig:
-    """The pipeline of the run values; ``correlator`` false drops the matching stage."""
-    params = _build(CorrelatorParams, values) if values.get("correlator", True) else None
-    return _build(ensemble.PipelineConfig, values, correlator=params)
+    """The pipeline of the run values; ``correlator`` false drops the matching
+    stage, after its parameters are checked all the same."""
+    params = _build(CorrelatorParams, values)
+    return _build(ensemble.PipelineConfig, values,
+                  correlator=params if values.get("correlator", True) else None)
 
 
 def _load_dataset(args) -> Dataset:

@@ -9,7 +9,9 @@ The decomposition method splits a series into trend/seasonal/residual with
 a short centered moving average (period 2), forecasts trend and residual
 either by linear extrapolation or by repeating recent values (picking the
 combination by holdout MASE), forecasts the seasonal part seasonal-naive,
-and sums the three.
+and sums the three. It decomposes the input twice, once without the holdout
+to pick the combination and once in full to forecast it, and it computes
+each (component, strategy) forecast once per decomposition.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .metrics import UndefinedMetricError, mase
 
 SES_ALPHA_GRID = np.arange(0.05, 1.0, 0.05)
 
@@ -114,7 +114,7 @@ def decompose_classical(series, period: int = 2) -> Decomposition:
     For the default period 2 the trend filter has weights (0.25, 0.5, 0.25)
     and is undefined at the first and last position. The seasonal component
     is the per-phase mean of the detrended values, centered to sum to zero
-    over one period and tiled over the series.
+    over one period and repeated over the series.
     """
     series = np.asarray(series, dtype=np.float64)
     n = series.size
@@ -124,20 +124,21 @@ def decompose_classical(series, period: int = 2) -> Decomposition:
         raise ValueError(f"series too short to decompose: {n} points")
 
     if period % 2 == 0:
-        filt = np.concatenate(([0.5], np.ones(period - 1), [0.5])) / period
-        margin = period // 2
+        filt = np.full(period + 1, 1.0 / period)
+        filt[0] = filt[-1] = 0.5 / period
     else:
-        filt = np.ones(period) / period
-        margin = (period - 1) // 2
+        filt = np.full(period, 1.0 / period)
+    margin = period // 2
     trend = np.full(n, np.nan)
     trend[margin : n - margin] = np.convolve(series, filt, mode="valid")
 
-    detrended = series - trend
-    phase_means = np.array(
-        [np.nanmean(detrended[p::period]) for p in range(period)]
-    )
-    phase_means -= phase_means.mean()
-    seasonal = np.tile(phase_means, n // period + 1)[:n]
+    # The defined interior starts at position margin, so phase p starts at
+    # interior index (p - margin) % period.
+    detrended = series[margin : n - margin] - trend[margin : n - margin]
+    phases = [detrended[(p - margin) % period :: period] for p in range(period)]
+    phase_means = np.array([phase.sum() / phase.size for phase in phases])
+    phase_means -= phase_means.sum() / period
+    seasonal = phase_means[np.arange(n) % period]
     residual = series - trend - seasonal
     return Decomposition(trend=trend, seasonal=seasonal, residual=residual, period=period)
 
@@ -148,7 +149,8 @@ def linear_extrapolate(tail, h: int, gap: int = 0) -> np.ndarray:
     The tail occupies positions 1..w; the forecast is the fitted line at
     positions w+1+gap .. w+h+gap. ``gap`` accounts for undefined positions
     between the last tail value and the first forecast (0 for a tail that
-    runs to the end of the series).
+    runs to the end of the series). The fit is closed form, with the
+    positions centred on their mean.
     """
     tail = np.asarray(tail, dtype=np.float64)
     w = tail.size
@@ -156,51 +158,53 @@ def linear_extrapolate(tail, h: int, gap: int = 0) -> np.ndarray:
         raise ValueError(f"need at least 2 values to fit a line, got {w}")
     if h < 1:
         raise ValueError(f"horizon must be positive, got {h}")
-    x = np.arange(1.0, w + 1.0)
-    slope, intercept = np.polyfit(x, tail, 1)
+    x_mean = (w + 1) / 2.0
+    centred = np.arange(1.0, w + 1.0) - x_mean
+    slope = (centred @ tail) / (w * (w * w - 1) / 12.0)  # centred @ centred
+    intercept = tail.sum() / w - slope * x_mean
     xf = np.arange(w + 1 + gap, w + h + 1 + gap, dtype=np.float64)
     return slope * xf + intercept
 
 
-def _repeat_tail(tail: np.ndarray, h: int) -> np.ndarray:
-    return np.tile(tail, h // tail.size + 1)[:h]
+def _strategy_forecast(dec: Decomposition, component: np.ndarray, strategy: str, h: int) -> np.ndarray:
+    """Forecast one component from its last STRATEGY_TAIL defined values.
 
-
-def _strategy_forecast(component: np.ndarray, strategy: str, h: int) -> np.ndarray:
-    """Forecast one component from its last defined values.
-
-    ``gap`` positions between the last defined value and the series end are
-    skipped by the line evaluation so the extrapolation stays anchored to
+    The defined values end ``period // 2`` positions before the series end;
+    the line skips those positions so the extrapolation stays anchored to
     true series positions.
     """
-    defined = np.nonzero(~np.isnan(component))[0]
-    if defined.size < 2:
-        raise ValueError("component has fewer than 2 defined values")
-    tail_idx = defined[-min(STRATEGY_TAIL, defined.size):]
-    tail = component[tail_idx]
+    margin = dec.period // 2
+    end = component.size - margin
+    tail = component[max(margin, end - STRATEGY_TAIL) : end]
     if strategy == "linear":
-        gap = (component.size - 1) - defined[-1]
-        return linear_extrapolate(tail, h, gap=gap)
-    if strategy == "repeat":
-        return _repeat_tail(tail, h)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        return linear_extrapolate(tail, h, gap=margin)
+    return tail[np.arange(h) % tail.size]
 
 
-_STRATEGY_COMBOS = (
-    ("linear", "linear"),
-    ("linear", "repeat"),
-    ("repeat", "linear"),
-    ("repeat", "repeat"),
-)
+_STRATEGIES = ("linear", "repeat")
+# (trend, residual) strategies in scoring order, the first winning ties.
+_STRATEGY_COMBOS = tuple((t, r) for t in _STRATEGIES for r in _STRATEGIES)
 
 
-def _decomposed_forecast(series: np.ndarray, h: int, trend_strategy: str, resid_strategy: str) -> np.ndarray:
-    dec = decompose_classical(series, period=2)
-    n = series.size
-    trend_fc = _strategy_forecast(dec.trend, trend_strategy, h)
-    resid_fc = _strategy_forecast(dec.residual, resid_strategy, h)
-    seasonal_fc = dec.seasonal[(n + np.arange(h)) % dec.period]
-    return trend_fc + resid_fc + seasonal_fc
+def _seasonal_forecast(dec: Decomposition, h: int) -> np.ndarray:
+    """The seasonal component continued past the series end (seasonal naive)."""
+    return dec.seasonal[(dec.seasonal.size + np.arange(h)) % dec.period]
+
+
+def _best_combo(fit: np.ndarray, val: np.ndarray) -> tuple[str, str]:
+    """The strategy combo whose forecast from ``fit`` has the lowest MASE
+    (lag 1) on ``val``. Ties, and an undefined MASE, give the first combo."""
+    h = val.size
+    dec = decompose_classical(fit)
+    trend = {s: _strategy_forecast(dec, dec.trend, s, h) for s in _STRATEGIES}
+    resid = {s: _strategy_forecast(dec, dec.residual, s, h) for s in _STRATEGIES}
+    candidates = np.array([trend[t] + resid[r] for t, r in _STRATEGY_COMBOS])
+    candidates += _seasonal_forecast(dec, h)
+    scale = np.abs(fit[1:] - fit[:-1]).mean()
+    if not scale > 0.0:
+        return _STRATEGY_COMBOS[0]
+    scores = np.mean(np.abs(val - candidates), axis=1) / scale
+    return _STRATEGY_COMBOS[int(np.argmin(scores))]
 
 
 def custom_forecast(series, h: int) -> np.ndarray:
@@ -223,17 +227,8 @@ def custom_forecast(series, h: int) -> np.ndarray:
         )
         return naive_forecast(series, h)
 
-    fit = series[:-h]
-    val = series[-h:]
-    best_combo = _STRATEGY_COMBOS[0]
-    best_score = np.inf
-    for combo in _STRATEGY_COMBOS:
-        candidate = _decomposed_forecast(fit, h, *combo)
-        try:
-            score = mase(fit, val, candidate, m=1)
-        except UndefinedMetricError:
-            score = np.inf
-        if score < best_score:
-            best_score = score
-            best_combo = combo
-    return _decomposed_forecast(series, h, *best_combo)
+    trend_strategy, resid_strategy = _best_combo(series[:-h], series[-h:])
+    dec = decompose_classical(series)
+    return (_strategy_forecast(dec, dec.trend, trend_strategy, h)
+            + _strategy_forecast(dec, dec.residual, resid_strategy, h)
+            + _seasonal_forecast(dec, h))

@@ -370,6 +370,7 @@ class TestInvalidValues:
         "std_ratio_text": (["forecast", "--std-ratio", "abc"], "--std-ratio"),
         "std_ratio_negative": (["validate", "--std-ratio", "-1"], "std_ratio"),
         "horizon": (["forecast", "--no-correlator", "--horizon", "0"], "horizon"),
+        "window_no_correlator": (["forecast", "--no-correlator", "--window", "1"], "window"),
         "validate_horizon": (["validate", "--horizon", "0"], "horizon"),
         "external": (["forecast", "--external", "nopath"], "--external"),
         "r_grid_text": (["sweep", "--r-grid", "abc"], "--r-grid"),
@@ -427,6 +428,15 @@ class TestInvalidValues:
         out = tmp / "out"
         assert main(["forecast", "--data", data, "--out", str(out), "--config", str(cfg)]) == 2
         assert "window" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_correlator_key_checked_when_correlator_off(self, toy_env, capsys):
+        data, _, tmp = toy_env
+        cfg = tmp / "run.cfg"
+        cfg.write_text("correlator = false\nr_threshold = 2\n")
+        out = tmp / "out"
+        assert main(["validate", "--data", data, "--out", str(out), "--config", str(cfg)]) == 2
+        assert "r_threshold" in capsys.readouterr().err
         assert not out.exists()
 
 

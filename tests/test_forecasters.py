@@ -1,7 +1,9 @@
 """Forecaster tests; decomposition and extrapolation are checked against
-independently written loop/closed-form implementations."""
+independently written loop/closed-form implementations, and the
+decomposition member against its earlier polyfit/nanmean formulation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from corrcast import (
     naive_forecast,
     ses_forecast,
 )
-from corrcast.forecasters import SES_ALPHA_GRID, _ses_levels
+from corrcast import forecasters
+from corrcast.forecasters import SES_ALPHA_GRID, Decomposition, _best_combo, _ses_levels
+from corrcast.metrics import UndefinedMetricError, mase
 
 
 def oracle_decompose_period2(y):
@@ -81,6 +85,135 @@ def oracle_line_fit(tail):
     slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
     intercept = (sy - slope * sx) / n
     return slope, intercept
+
+
+# The decomposition member as it was before its closed-form rewrite, kept
+# verbatim as the oracle: np.polyfit line fits, nanmean/tile phase means,
+# and one decomposition of the holdout input per strategy combo. The only
+# change is that old_custom_forecast also returns its choice and scores.
+
+def old_decompose_classical(series, period=2):
+    series = np.asarray(series, dtype=np.float64)
+    n = series.size
+    if period < 2:
+        raise ValueError(f"period must be >= 2, got {period}")
+    if n < max(4, period + 2):
+        raise ValueError(f"series too short to decompose: {n} points")
+
+    if period % 2 == 0:
+        filt = np.concatenate(([0.5], np.ones(period - 1), [0.5])) / period
+        margin = period // 2
+    else:
+        filt = np.ones(period) / period
+        margin = (period - 1) // 2
+    trend = np.full(n, np.nan)
+    trend[margin : n - margin] = np.convolve(series, filt, mode="valid")
+
+    detrended = series - trend
+    phase_means = np.array(
+        [np.nanmean(detrended[p::period]) for p in range(period)]
+    )
+    phase_means -= phase_means.mean()
+    seasonal = np.tile(phase_means, n // period + 1)[:n]
+    residual = series - trend - seasonal
+    return Decomposition(trend=trend, seasonal=seasonal, residual=residual, period=period)
+
+
+def old_linear_extrapolate(tail, h, gap=0):
+    tail = np.asarray(tail, dtype=np.float64)
+    w = tail.size
+    if w < 2:
+        raise ValueError(f"need at least 2 values to fit a line, got {w}")
+    if h < 1:
+        raise ValueError(f"horizon must be positive, got {h}")
+    x = np.arange(1.0, w + 1.0)
+    slope, intercept = np.polyfit(x, tail, 1)
+    xf = np.arange(w + 1 + gap, w + h + 1 + gap, dtype=np.float64)
+    return slope * xf + intercept
+
+
+def _old_repeat_tail(tail, h):
+    return np.tile(tail, h // tail.size + 1)[:h]
+
+
+def _old_strategy_forecast(component, strategy, h):
+    defined = np.nonzero(~np.isnan(component))[0]
+    if defined.size < 2:
+        raise ValueError("component has fewer than 2 defined values")
+    tail_idx = defined[-min(forecasters.STRATEGY_TAIL, defined.size):]
+    tail = component[tail_idx]
+    if strategy == "linear":
+        gap = (component.size - 1) - defined[-1]
+        return old_linear_extrapolate(tail, h, gap=gap)
+    if strategy == "repeat":
+        return _old_repeat_tail(tail, h)
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+OLD_STRATEGY_COMBOS = (
+    ("linear", "linear"),
+    ("linear", "repeat"),
+    ("repeat", "linear"),
+    ("repeat", "repeat"),
+)
+
+
+def old_decomposed_forecast(series, h, trend_strategy, resid_strategy):
+    dec = old_decompose_classical(series, period=2)
+    n = series.size
+    trend_fc = _old_strategy_forecast(dec.trend, trend_strategy, h)
+    resid_fc = _old_strategy_forecast(dec.residual, resid_strategy, h)
+    seasonal_fc = dec.seasonal[(n + np.arange(h)) % dec.period]
+    return trend_fc + resid_fc + seasonal_fc
+
+
+def old_custom_forecast(series, h):
+    """(chosen combo, holdout scores per combo, forecast); the series is at
+    least 2h + 4 long."""
+    series = np.asarray(series, dtype=np.float64)
+    fit = series[:-h]
+    val = series[-h:]
+    best_combo = OLD_STRATEGY_COMBOS[0]
+    best_score = np.inf
+    scores = []
+    for combo in OLD_STRATEGY_COMBOS:
+        candidate = old_decomposed_forecast(fit, h, *combo)
+        try:
+            score = mase(fit, val, candidate, m=1)
+        except UndefinedMetricError:
+            score = np.inf
+        scores.append(score)
+        if score < best_score:
+            best_score = score
+            best_combo = combo
+    return best_combo, scores, old_decomposed_forecast(series, h, *best_combo)
+
+
+@st.composite
+def custom_cases(draw):
+    """(series, h) for the decomposition member: lengths 2h + 3 to 600,
+    random walks with and without an alternating seasonal part, two-decimal
+    values, constant series (undefined MASE) and exact lines (the residual
+    is exactly 0, so both residual strategies tie), offsets up to 1e9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = draw(st.sampled_from([1, 7, 14]))
+    n = draw(st.one_of(st.integers(2 * h + 3, 2 * h + 8), st.integers(2 * h + 9, 600)))
+    kind = draw(st.sampled_from(["walk", "seasonal", "cents", "constant", "line"]))
+    offset = draw(st.sampled_from([0.0, 3.7, -1e6, 1e9, -1e9]))
+    t = np.arange(n, dtype=np.float64)
+    if kind == "walk":
+        y = np.cumsum(rng.normal(0.0, 1.0, n))
+    elif kind == "seasonal":
+        y = np.cumsum(rng.normal(0.0, 1.0, n)) + rng.uniform(0.5, 5.0) * (-1.0) ** t
+    elif kind == "cents":
+        y = np.round(50.0 + np.cumsum(rng.normal(0.0, 1.0, n)), 2)
+    elif kind == "constant":
+        y = np.zeros(n)
+    else:
+        # Whole offsets and quarter slopes keep every filter sum exact.
+        offset = float(round(offset))
+        y = draw(st.integers(-40, 40)) / 4.0 * t
+    return offset + y, h
 
 
 class TestNaive:
@@ -192,6 +325,24 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose_classical([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("period", range(2, 8))
+    def test_matches_nanmean_tile_formulation(self, rng, period):
+        shortest = max(4, period + 2)
+        for n in (*range(shortest, shortest + 2 * period + 1), 97, 250):
+            for offset in (0.0, -1e6, 1e9):
+                y = offset + np.cumsum(rng.normal(0.0, 1.0, n))
+                with warnings.catch_warnings():
+                    # Short series leave a phase without a defined value; both
+                    # formulations then give NaN, with a RuntimeWarning.
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    got = decompose_classical(y, period)
+                    want = old_decompose_classical(y, period)
+                assert got.period == want.period == period
+                atol = 1e-12 * np.abs(y).max()
+                for part in ("trend", "seasonal", "residual"):
+                    np.testing.assert_allclose(getattr(got, part), getattr(want, part),
+                                               rtol=1e-12, atol=atol, err_msg=f"{part} n={n}")
+
 
 class TestLinearExtrapolate:
     def test_exact_line(self):
@@ -217,6 +368,18 @@ class TestLinearExtrapolate:
         with pytest.raises(ValueError):
             linear_extrapolate([1.0], 2)
 
+    def test_matches_polyfit(self, rng):
+        for w in range(2, 15):
+            for offset in (0.0, 3.7, -1e6, 1e9, -1e9):
+                tail = offset + rng.normal(0.0, 1.0, w) + rng.uniform(-2.0, 2.0) * np.arange(w)
+                for gap in (0, 1, 3):
+                    for h in (1, 7, 14):
+                        got = linear_extrapolate(tail, h, gap=gap)
+                        want = old_linear_extrapolate(tail, h, gap=gap)
+                        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                                   atol=1e-12 * np.abs(tail).max(),
+                                                   err_msg=f"w={w} gap={gap} h={h}")
+
 
 class TestCustom:
     def test_linear_series_continues_line(self):
@@ -239,3 +402,44 @@ class TestCustom:
     def test_deterministic(self, rng):
         y = rng.normal(0, 1, 60) + 0.1 * np.arange(60)
         assert np.array_equal(custom_forecast(y, 14), custom_forecast(y, 14))
+
+    def test_decomposes_fit_then_full_series_once_each(self, rng, monkeypatch):
+        sizes = []
+        decompose = forecasters.decompose_classical
+
+        def counting(series, *args, **kwargs):
+            sizes.append(np.asarray(series).size)
+            return decompose(series, *args, **kwargs)
+
+        monkeypatch.setattr(forecasters, "decompose_classical", counting)
+        custom_forecast(np.cumsum(rng.normal(0.0, 1.0, 300)), 14)
+        assert sizes == [300 - 14, 300]
+
+    def test_undefined_mase_takes_first_combo(self):
+        y = np.full(40, 7.0)
+        assert _best_combo(y[:-14], y[-14:]) == ("linear", "linear")
+
+    def test_tied_residual_strategies_take_first(self):
+        # An exact line: the residual is exactly 0, so both residual
+        # strategies score the same and linear, listed first, wins.
+        y = 3.0 + 0.25 * np.arange(60)
+        assert _best_combo(y[:-7], y[-7:]) == ("linear", "linear")
+
+
+class TestCustomAgainstPrevious:
+    """custom_forecast against its earlier formulation (old_custom_forecast)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(custom_cases())
+    def test_same_choice_and_forecast(self, case):
+        y, h = case
+        if y.size < 2 * h + 4:
+            with pytest.warns(UserWarning, match="falling back to naive"):
+                assert np.array_equal(custom_forecast(y, h), naive_forecast(y, h))
+            return
+        want_combo, scores, want = old_custom_forecast(y, h)
+        combo = _best_combo(y[:-h], y[-h:])
+        assert combo == want_combo, scores
+        # Relative agreement, with an absolute floor of 1e-12 near 0.
+        assert np.all(np.abs(custom_forecast(y, h) - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
