@@ -8,20 +8,21 @@ position) and walked in order; a candidate whose mapped forecast is too
 dispersed is skipped and the next-best distinct (source, position) pair is
 tried, until one is accepted or the stream is exhausted.
 
-Candidates are found through a projection index rather than by scanning
-every window. For a query z-normalised to qhat and a window to what (both
-of norm sqrt(w)), r = 1 - |qhat - what|^2 / 2w, so r >= t bounds the
-distance by sqrt(2w(1 - t)), and so, for any unit zero-sum direction u,
-|qhat.u - what.u| as well. The engine stores what.u for every eligible
-window (sorted fixed-point int32 keys with int32 flat positions: 8 bytes
-per window), so a target binary-searches the keys within that radius plus
-a slack for rounding, filters the range by a gathered r, and rescores the
-survivors with the full scan's own arithmetic: the result is bit-identical
-to the full scan, in the same (k, tau) order. Windows too ill-conditioned
-for the slack (std tiny against the series' magnitude) skip the bound and
-are always rescored. When the range is dense -- loose thresholds,
-near-linear tails -- the full scan runs instead; it is also the reference
-the index is tested against.
+Every r comes from one kernel, ``stats._window_r``, whose bits depend only
+on the window. The full scan runs it over the whole flat array of centered
+values in contiguous blocks and keeps the eligible windows (valid,
+non-terminal) at or above the threshold. The projection index narrows that
+set first: for a query z-normalised to qhat and a window to what (both of
+norm sqrt(w)), r = 1 - |qhat - what|^2 / 2w, so r >= t bounds the distance
+by sqrt(2w(1 - t)), and so |qhat.u - what.u| for any unit zero-sum u. The
+engine stores what.u for every eligible window (sorted fixed-point int32
+keys with int32 flat positions: 8 bytes per window), so a target
+binary-searches the keys within that radius plus a rounding slack, prunes
+the range by a gathered matrix-vector r with a margin for its rounding, and
+takes the kernel's r at the survivors: the same arrays as the full scan.
+Windows too ill-conditioned for the slack (std tiny against the series'
+magnitude) skip the index. When the range is dense -- loose thresholds,
+near-linear tails -- the full scan runs instead.
 
 Two historical defects of the original submission are reproducible behind
 flags: ``bug1`` disables the method for every series past file position
@@ -42,7 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import indexed_map
 from .dataset import Dataset
-from .stats import _normalized_query, _std_floor, _window_correlations, rolling_stats
+from .stats import _normalized_query, _std_floor, _window_r, rolling_stats
 
 # 1-based file position of the last series the bug1 submission variant
 # still processed.
@@ -146,22 +147,20 @@ class CorrelationEngine:
     flat order is (k, tau) order.
     """
 
-    # Range counts above this fraction of the indexed windows take the full
-    # scan. Measured on 0.37M random-walk windows (w = 14, 2 vCPU): the
-    # sparse filter costs 60-80 ns per range entry against 40 ns per window
-    # for the full scan, so with few survivors the two break even near half
-    # the index; every survivor adds a rescore, and at a third of the index
-    # the full scan already won on dense candidate sets. The cut sits below.
-    _DENSE_FRACTION = 0.25
+    # Range counts above this fraction of the flat windows take the full
+    # scan, about 14 ns per flat window against 55 ns per range entry. With
+    # both paths forced on forecast-rw and sweep-smooth seed 3 (w = 14, 2
+    # vCPU) the index won on 95% of targets whose range held 15-20% of the
+    # flat windows, 55% at 20-25%, 32% at 25-30% and 1% above 35%.
+    _DENSE_FRACTION = 0.2
     # Windows whose std is below max|series| / _COND_MAX go to a short list
-    # that is always rescored: the rounding errors of r and of the key grow
-    # with c = max|series| / std, and the slacks below cover c <= _COND_MAX.
+    # that skips the index and the prune: the rounding errors of r and of
+    # the key grow with c = max|series| / std, and the slacks below cover
+    # c <= _COND_MAX.
     _COND_MAX = 1e6
-    # Survivors closer than this many windows are rescored by one
-    # correlate call over their span.
-    _RUN_GAP = 32
-    # Range entries per gathered block, bounding the filter's temporaries.
-    _BLOCK = 8192
+    # Windows per dense block and gathered values per sparse block: the
+    # bound on both paths' temporaries.
+    _BLOCK = 2**16
 
     def __init__(self, dataset: Dataset, params: CorrelatorParams):
         check_past_only(dataset, params)
@@ -174,8 +173,9 @@ class CorrelationEngine:
         if n >= 2**31:
             raise ValueError(f"{n} values exceed the index's int32 positions")
         self._centered = np.zeros(n)
-        # Window stats at each window's flat start; the last w - 1 slots of
-        # every series stay 0 / False.
+        # Window stds at each window's flat start, the last w - 1 slots of
+        # every series 0; _valid marks the eligible windows (valid and
+        # non-terminal, of source series), the mask of the full scan.
         self._std = np.zeros(n)
         self._valid = np.zeros(n, dtype=bool)
         # The index direction: DCT-II row 1, u_i ~ cos(pi (2i + 1) / 2w), a
@@ -183,14 +183,15 @@ class CorrelationEngine:
         u = np.cos(np.pi * (2 * np.arange(w) + 1) / (2 * w))
         self._u = u / np.sqrt(np.dot(u, u))
         # Slacks, from forward-error bounds (eps = 2^-52) for windows with
-        # c <= _COND_MAX. r, in the full scan and in the index's filter, is
-        # a w-term dot product of globally centered values (each at most 2c
-        # window stds) with the query, over w times the window std. The
-        # products' rounding and the centering give c eps (w + 1); the
-        # query's residual sum (at most eps w (w + 1) / 2 after double
-        # centering) against the window's offset gives c eps (w + 1) more;
-        # the window std's own rounding (second order in its mean's error)
-        # gives (w + 6) eps. The key is the same dot product with u
+        # c <= _COND_MAX. The kernel's r sums the w products of the query q
+        # with globally centered values x (each at most 2c window stds) left
+        # to right, over w times the window std: the sum errs by at most
+        # gamma_w = w eps / 2 times |q|_1 max|x| <= 2cw std, which with the
+        # centering's rounding gives c eps (w + 1) in r, for any summation
+        # order (so the prune's matrix-vector r as well). The query's residual
+        # sum (at most eps w (w + 1) / 2 after double centering) against the
+        # window's offset gives c eps (w + 1) more; the std's rounding and the
+        # division give (w + 6) eps. The key is the same dot product with u
         # (|u|_1 <= sqrt(w), |sum(u)| <= w eps) over the std: c eps
         # (sqrt(w) (w + 1) + 2w); the query's key and the bounds add under
         # w^2 eps. Both slacks take their bound 4 times over.
@@ -216,10 +217,10 @@ class CorrelationEngine:
             np.subtract(ts.values, ts.values.mean(), out=centered)
             st = rolling_stats(ts.values, w)
             self._std[a : a + st.std.size] = st.std
-            self._valid[a : a + st.std.size] = st.valid
             # Eligible windows are valid and non-terminal: start <= n_k - 2w.
             std = st.std[: len(ts) - 2 * w + 1]
             eligible = st.valid[: std.size]
+            self._valid[a : a + std.size] = eligible
             tight = eligible & (std * self._COND_MAX >= np.abs(ts.values).max())
             loose.append((np.flatnonzero(eligible & ~tight) + a).astype(np.int32))
             idx = np.flatnonzero(tight)
@@ -259,7 +260,8 @@ class CorrelationEngine:
         ascending order.
 
         Candidates are looked up in the projection index; when the key range
-        is dense the full scan runs instead. Both give the same arrays.
+        is dense the full scan runs instead. Both evaluate r with the same
+        kernel, so they give the same arrays.
         """
         w = self.params.w
         tail_info = self._tail_stats(j)
@@ -267,69 +269,50 @@ class CorrelationEngine:
             return _EMPTY_SCAN
         qhat = _normalized_query(tail_info[0])
         # |qhat.u - what.u| <= |qhat - what| = sqrt(2w(1 - r)) for unit zero-sum u;
-        # the full scan keeps r >= t only if the exact r >= t - r_slack.
+        # the kernel keeps r >= t only if the exact r >= t - r_slack.
         radius = np.sqrt(2 * w * (1.0 - r_threshold + self._r_slack)) + self._key_slack
         bounds = np.floor((np.dot(qhat, self._u) + np.array([-radius, radius])) * self._scale)
         key_lo, key_hi = bounds.clip(-(2**31), 2**31 - 1).astype(np.int32)
         lo = np.searchsorted(self._keys, key_lo, side="left")
         hi = np.searchsorted(self._keys, key_hi, side="right")
-        if hi - lo + self._loose.size > self._DENSE_FRACTION * self._keys.size:
-            return self._full_scan(j, qhat, r_threshold)
-
-        # Cheap filter: r from a gathered dot product, kept within twice the
-        # r slack of the threshold (each r is within one slack of the exact r).
-        windows = sliding_window_view(self._centered, w)
-        kept = [self._loose]
-        for start in range(lo, hi, self._BLOCK):
-            pos = self._pos[start : min(start + self._BLOCK, hi)]
-            r = (windows[pos] @ qhat) / (w * self._std[pos])
-            kept.append(pos[r >= r_threshold - 2 * self._r_slack])
-        pos = np.sort(np.concatenate(kept))
+        if hi - lo + self._loose.size > self._DENSE_FRACTION * self._valid.size:
+            pos, r = self._full_scan(qhat, r_threshold)
+        else:
+            # Prune by a gathered matrix-vector r (within one slack of the
+            # exact r, as the kernel's is), then take the kernel's r.
+            windows = sliding_window_view(self._centered, w)
+            step = self._BLOCK // w
+            kept = [self._loose]
+            for s in range(lo, hi, step):
+                pos = self._pos[s : min(s + step, hi)]
+                r = (windows[pos] @ qhat) / (w * self._std[pos])
+                kept.append(pos[r >= r_threshold - 2 * self._r_slack])
+            pos = np.sort(np.concatenate(kept))
+            r = np.concatenate([np.empty(0)] + [
+                _window_r(windows[p], self._std[p], qhat)
+                for p in (pos[s : s + step] for s in range(0, pos.size, step))
+            ])
+            hit = r >= r_threshold
+            pos, r = pos[hit], r[hit]
         if not self.params.include_self:
-            pos = pos[(pos < self.offsets[j]) | (pos >= self.offsets[j + 1])]
-        if pos.size == 0:
-            return _EMPTY_SCAN
-
-        # Exact rescore with the full scan's arithmetic, one correlate call
-        # per run of nearby survivors.
-        runs = np.split(pos, np.flatnonzero(np.diff(pos) > self._RUN_GAP) + 1)
-        dots = np.concatenate([
-            np.correlate(self._centered[run[0] : run[-1] + w], qhat, mode="valid")[run - run[0]]
-            for run in runs
-        ])
-        r = np.clip(dots / (w * self._std[pos]), -1.0, 1.0)
-        hit = r >= r_threshold
-        pos = pos[hit]
+            keep = (pos < self.offsets[j]) | (pos >= self.offsets[j + 1])
+            pos, r = pos[keep], r[keep]
         ks = np.searchsorted(self.offsets, pos, side="right") - 1
-        return ks, pos - self.offsets[ks] + w, r[hit], self._std[pos], self._std[pos + w]
+        return ks, pos - self.offsets[ks] + w, r, self._std[pos], self._std[pos + w]
 
-    def _full_scan(self, j: int, qhat: np.ndarray, r_threshold: float):
-        """``_scan`` by correlating the query against every source window;
-        the dense path and the reference for the index."""
-        w = self.params.w
-        parts = []
-        for k, (a, b) in enumerate(zip(self.offsets[:-1], self.offsets[1:])):
-            if b - a < 2 * w:
-                continue
-            if not self.params.include_self and k == j:
-                continue
-            std = self._std[a : b - w + 1]
-            r = _window_correlations(self._centered[a:b], std, self._valid[a : b - w + 1], qhat)
-            # Keep non-terminal windows only: tau <= n_k - w.
-            r = r[: b - a - 2 * w + 1]
-            hit = np.nonzero(r >= r_threshold)[0]
-            if hit.size:
-                taus = hit + w
-                parts.append((
-                    np.full(hit.size, k, dtype=np.int64),
-                    taus,
-                    r[hit],
-                    std[hit],        # matched window: starts at tau - w
-                    std[taus],       # continuation window: starts at tau
-                ))
-        if not parts:
-            return _EMPTY_SCAN
-        return tuple(np.concatenate(cols) for cols in zip(*parts))
+    def _full_scan(self, qhat: np.ndarray, r_threshold: float):
+        """Flat positions and r of every eligible window with r >= threshold,
+        from the kernel over the whole flat array in contiguous blocks; the
+        dense path and the reference for the index."""
+        windows = sliding_window_view(self._centered, self.params.w)
+        pos, rs = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+        for s in range(0, len(windows), self._BLOCK):
+            e = min(s + self._BLOCK, len(windows))
+            r = _window_r(windows[s:e], self._std[s:e], qhat)
+            hit = np.flatnonzero(self._valid[s:e] & (r >= r_threshold))
+            pos.append(hit + s)
+            rs.append(r[hit])
+        return np.concatenate(pos), np.concatenate(rs)
 
     def candidates(self, j: int, r_threshold: float | None = None):
         """(ks, taus, rs) arrays of all candidates for one target, sorted by

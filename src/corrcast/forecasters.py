@@ -120,8 +120,12 @@ def decompose_classical(series, period: int = 2) -> Decomposition:
     n = series.size
     if period < 2:
         raise ValueError(f"period must be >= 2, got {period}")
-    if n < max(4, period + 2):
-        raise ValueError(f"series too short to decompose: {n} points")
+    # Every phase needs a defined detrended value: the interior left by the
+    # trend filter, n - 2 (period // 2) points, must span a period.
+    shortest = max(4, period + 2 * (period // 2))
+    if n < shortest:
+        raise ValueError(f"series too short to decompose: {n} points, period {period} "
+                         f"needs at least {shortest}")
 
     if period % 2 == 0:
         filt = np.full(period + 1, 1.0 / period)

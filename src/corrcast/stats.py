@@ -1,13 +1,12 @@
 """Numeric kernels: Pearson correlation and sliding-window correlation scans.
 
-The scan that powers both the forecaster and the leakage audit correlates a
-short query vector (typically 13-14 points) against every window of a
-series. Window means/stds are precomputed once per (series, window-length)
-pair; the per-shift dot products are then a single direct correlation pass,
-which for such short windows beats FFT-based schemes. The correlator runs
-that pass over every window only when its projection index cannot narrow
-the candidates (see ``correlator``); otherwise it runs it over the index's
-survivors alone, with the same arithmetic and so the same r.
+The forecaster's scan correlates a short query (typically 13-14 points)
+against every window of a series, from window stds precomputed once per
+(series, window length). r comes from one kernel, ``_window_r``: one
+column pass per query term over all windows at once, which for such short
+windows beats FFT-based schemes. Its fixed summation order makes a window's
+r independent of how windows are batched, so the correlator's two scan
+paths and ``sliding_correlations`` all give the same bits.
 """
 
 from __future__ import annotations
@@ -97,20 +96,20 @@ def _normalized_query(query: np.ndarray) -> np.ndarray:
     return q / std
 
 
-def _window_correlations(centered: np.ndarray, std: np.ndarray, valid: np.ndarray,
-                         qhat: np.ndarray) -> np.ndarray:
-    """r for every window of a (globally centered) series vs a normalized query.
-
-    ``std`` and ``valid`` are the windows' rolling statistics. Invalid windows
-    get NaN. ``qhat`` must be zero-mean unit-std with the window's length.
+def _window_r(windows: np.ndarray, std: np.ndarray, qhat: np.ndarray) -> np.ndarray:
+    """r of every row of ``windows`` (globally centered values, a view or a
+    gathered copy) against a normalized query: sum_i qhat[i] * windows[:, i]
+    / (w * std), the products summed left to right, clipped to [-1, 1].
+    Rows whose std is 0 get NaN or +-1; callers mask invalid windows.
     """
     w = qhat.size
-    dots = np.correlate(centered, qhat, mode="valid")
+    acc = windows[:, 0] * qhat[0]
+    term = np.empty_like(acc)
+    for i in range(1, w):
+        acc += np.multiply(windows[:, i], qhat[i], out=term)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = dots / (w * std)
-    r = np.clip(r, -1.0, 1.0)
-    r[~valid] = np.nan
-    return r
+        acc /= w * std
+    return np.clip(acc, -1.0, 1.0, out=acc)
 
 
 def sliding_correlations(query, series, stats: RollingStats | None = None):
@@ -128,6 +127,6 @@ def sliding_correlations(query, series, stats: RollingStats | None = None):
     elif stats.w != w or stats.mean.size != series.size - w + 1:
         raise ValueError("rolling stats do not match the query length and series")
     qhat = _normalized_query(query)
-    r = _window_correlations(series - series.mean(), stats.std, stats.valid, qhat)
+    r = _window_r(sliding_window_view(series - series.mean(), w), stats.std, qhat)
     taus = np.nonzero(stats.valid)[0] + w
     return taus, r[stats.valid]

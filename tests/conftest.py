@@ -9,8 +9,11 @@ arithmetic, independent of the library's scan path.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,16 @@ import pytest
 from corrcast import Dataset, TimeSeries
 
 W = 14
+
+
+def bench_corpus():
+    """The benchmark's corpus generator, imported from bench/ by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @dataclass

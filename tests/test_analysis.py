@@ -1,10 +1,7 @@
 """Leakage-audit tests: global correlation scan, categories, histograms."""
 
-import importlib.util
-import sys
 import warnings
 from datetime import date
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +23,7 @@ from corrcast import (
 from corrcast import analysis
 from corrcast.analysis import _fast_lengths
 from corrcast.stats import pearson
-from conftest import make_multi_planted, make_planted
+from conftest import bench_corpus, make_multi_planted, make_planted
 
 W = 14
 
@@ -311,20 +308,10 @@ class TestFutureUse:
             assert build_leakage_report(d, correlator_matches={}).future_use_fraction is None
 
 
-def _bench_corpus():
-    """The benchmark's corpus generator, imported from bench/ by path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_planted_leaks_recovered_exactly(tmp_path):
     # The audit-leaky corpus: 64 ragged series with planted T1-T4 leaks whose
     # ground truth the generator confirmed with the slow oracles.
-    corpus = _bench_corpus().generate("audit-leaky", 0, tmp_path)
+    corpus = bench_corpus().generate("audit-leaky", 0, tmp_path)
     truth = corpus.truth
     report = build_leakage_report(corpus.dataset)
     label = {(m.target_id, m.source_id, m.tau): c

@@ -3,7 +3,6 @@ independently written loop/closed-form implementations, and the
 decomposition member against its earlier polyfit/nanmean formulation."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -326,18 +325,25 @@ class TestDecompose:
             decompose_classical([1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("period", range(2, 8))
+    def test_rejects_lengths_that_leave_a_phase_undefined(self, period):
+        # The interior left by the trend filter must span a period: n >= 2p
+        # for even p, 2p - 1 for odd p (and 4 at least).
+        shortest = max(4, 2 * period if period % 2 == 0 else 2 * period - 1)
+        decompose_classical(np.arange(shortest, dtype=float) ** 2, period)
+        for n in range(1, shortest):
+            with pytest.raises(ValueError, match=rf"{n} points, period {period}"):
+                decompose_classical(np.arange(n, dtype=float) ** 2, period)
+
+    @pytest.mark.parametrize("period", range(2, 8))
     def test_matches_nanmean_tile_formulation(self, rng, period):
-        shortest = max(4, period + 2)
+        shortest = max(4, 2 * period if period % 2 == 0 else 2 * period - 1)
         for n in (*range(shortest, shortest + 2 * period + 1), 97, 250):
             for offset in (0.0, -1e6, 1e9):
                 y = offset + np.cumsum(rng.normal(0.0, 1.0, n))
-                with warnings.catch_warnings():
-                    # Short series leave a phase without a defined value; both
-                    # formulations then give NaN, with a RuntimeWarning.
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    got = decompose_classical(y, period)
-                    want = old_decompose_classical(y, period)
+                got = decompose_classical(y, period)
+                want = old_decompose_classical(y, period)
                 assert got.period == want.period == period
+                assert np.isfinite(got.seasonal).all()
                 atol = 1e-12 * np.abs(y).max()
                 for part in ("trend", "seasonal", "residual"):
                     np.testing.assert_allclose(getattr(got, part), getattr(want, part),

@@ -7,7 +7,9 @@ and compare all five arrays with ``np.array_equal``, on inputs built to sit
 at the edges of the index's error bounds: duplicate windows (tie order),
 windows at the constancy floor, offsets and level shifts up to 1e9, steep
 ramps, series too short to be sources, and plants just around the
-thresholds.
+thresholds. The kernel's r is held to ``pearson`` within the r slack, a
+tail copy straddling two series must never be a candidate, and the
+benchmark's smooth corpus must take the full scan and keep its plants.
 """
 
 import numpy as np
@@ -15,10 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from corrcast import CorrelatorParams, Dataset, TimeSeries
+from corrcast import CorrelatorParams, Dataset, TimeSeries, pearson
 from corrcast.correlator import CorrelationEngine
 from corrcast.stats import ConstantInputError, rolling_stats
-from conftest import make_multi_planted
+from conftest import bench_corpus, make_multi_planted
 
 THRESHOLDS = (1.0, 0.9999, 0.999, 0.99, 0.5)
 KINDS = ("walk", "ramp", "floor", "shift")
@@ -101,6 +103,77 @@ def test_index_matches_full_scan(case):
     for j in range(len(data)):
         for r_threshold in THRESHOLDS:
             assert_paths_agree(engine, j, r_threshold)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(datasets())
+def test_kernel_r_within_slack_of_pearson(case):
+    """Every eligible window's r, from the full scan at threshold -1, is
+    within the r slack of ``pearson`` where the slack's bound holds."""
+    data, params = case
+    engine = CorrelationEngine(data, params)
+    w = params.w
+    for j, target in enumerate(data):
+        scan = _scan(engine, j, -1.0, -1.0)
+        if isinstance(scan, str) or engine._tail_stats(j) is None:
+            continue
+        ks, taus, rs, win_std, _ = scan
+        for k, tau, r, std in zip(ks.tolist(), taus.tolist(), rs.tolist(), win_std.tolist()):
+            source = data.series[k].values
+            if std * engine._COND_MAX < np.abs(source).max():
+                continue
+            try:
+                want = pearson(target.values[-w:], source[tau - w : tau])
+            except ConstantInputError:
+                continue
+            assert abs(r - want) <= engine._r_slack, (j, k, tau, r, want)
+
+
+@pytest.mark.parametrize("split", range(1, 14))
+def test_copy_straddling_two_series_is_never_a_candidate(rng, split):
+    """A perfect copy of the target's tail that runs from the end of one
+    series into the start of the next is contiguous in the flat centered
+    array, but it is no window of either series."""
+    w = 14
+    tail = rng.normal(0.0, 1.0, w)
+    tail -= tail.mean()
+    # Both hosts have mean 0, so the copy's centered values are the tail's.
+    head = np.cumsum(rng.normal(0.0, 1.0, 80))
+    head -= (head.sum() + tail[:split].sum()) / head.size
+    rest = np.cumsum(rng.normal(0.0, 1.0, 80))
+    rest -= (rest.sum() + tail[split:].sum()) / rest.size
+    data = Dataset([TimeSeries("T", np.concatenate([rng.normal(0.0, 1.0, 40), tail + 5.0])),
+                    TimeSeries("A", np.concatenate([head, tail[:split]])),
+                    TimeSeries("B", np.concatenate([tail[split:], rest]))])
+    engine = CorrelationEngine(data, CorrelatorParams(w=w))
+    start = engine.offsets[2] - split
+    assert np.allclose(engine._centered[start : start + w], tail)
+    for dense_fraction in (np.inf, -1.0):
+        ks, taus, _, _, _ = _scan(engine, 0, 0.9999, dense_fraction)
+        assert ks.size == 0, (dense_fraction, ks, taus)
+
+
+def test_smooth_corpus_takes_the_full_scan(tmp_path):
+    """On the sweep-smooth corpus (near-linear tails) the default cut-off
+    sends most targets to the full scan at r >= 0.99; both paths agree and
+    every planted copy is a candidate."""
+    corpus = bench_corpus().generate("sweep-smooth", 0, tmp_path)
+    data = corpus.dataset
+    engine = CorrelationEngine(data, CorrelatorParams())
+    full_scan = engine._full_scan
+    calls = []
+    engine._full_scan = lambda *a: calls.append(a) or full_scan(*a)
+    found = {}
+    for j in range(len(data)):
+        ks, taus, _, _, _ = engine._scan(j, 0.99)
+        found[data.series[j].id] = {(data.series[k].id, t) for k, t in zip(ks.tolist(), taus.tolist())}
+    assert len(calls) >= 0.75 * len(data)
+    del engine._full_scan
+    for p in corpus.truth["window_plants"]:
+        assert (p["source"], p["tau"]) in found[p["target"]], p
+    for j in range(len(data)):
+        assert_paths_agree(engine, j, 0.99)
 
 
 def test_planted_random_walks_take_the_index(rng):
