@@ -7,7 +7,7 @@ scan finds that window and turns its continuation into a forecast for A.
 
 import numpy as np
 
-from corrcast import CorrelatorParams, Dataset, TimeSeries, candidate_stream, correlator_forecast
+from corrcast import CorrelationEngine, CorrelatorParams, Dataset, TimeSeries
 
 rng = np.random.default_rng(11)
 W = 14
@@ -21,13 +21,16 @@ continuation = window.mean() + np.std(window) * rng.normal(0, 0.8, W)
 b = np.concatenate([rng.normal(0, 1, 20), window, continuation, rng.normal(0, 1, 10)])
 
 dataset = Dataset([TimeSeries("A", a), TimeSeries("B", b)])
-params = CorrelatorParams()  # window 14, correlation >= 0.9999, dispersion cap 2.5
+# Window 14, correlation >= 0.9999, dispersion cap 2.5. The engine holds
+# the scan state of the whole dataset; each target is then one call.
+engine = CorrelationEngine(dataset, CorrelatorParams())
 
 print("candidates for A (source index, window end tau, correlation):")
-for k, tau, r in candidate_stream(0, dataset, params)[:5]:
+ks, taus, rs = engine.candidates(0)
+for k, tau, r in zip(ks[:5], taus[:5], rs[:5]):
     print(f"  series {dataset.series[k].id}  tau={tau}  r={r:.6f}")
 
-match = correlator_forecast(0, dataset, params)
+match = engine.forecast(0)
 print(f"\naccepted match: source={match.source_id} tau={match.tau} r={match.r:.6f}")
 print("mapped forecast for A:")
 print(np.array2string(match.forecast, precision=3))

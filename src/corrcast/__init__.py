@@ -12,11 +12,10 @@ from .analysis import (
     overlap_histogram,
 )
 from .correlator import (
+    CorrelationEngine,
     CorrelatorMatch,
     CorrelatorParams,
     affine_map,
-    candidate_stream,
-    correlator_forecast,
     run_correlator,
     sweep_correlator,
 )
@@ -43,14 +42,15 @@ from .forecasters import (
     ses_forecast,
 )
 from .metrics import MetricReport, UndefinedMetricError, mase, owa_report, smape
-from .stats import ConstantInputError, RollingStats, pearson, rolling_stats, sliding_correlations
+from .stats import ConstantInputError, RollingStats, pearson, rolling_stats
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "ConstantInputError",
+    "CorrelationEngine",
     "CorrelatorMatch",
     "CorrelatorParams",
-    "ConstantInputError",
     "Dataset",
     "Decomposition",
     "Forecast",
@@ -65,10 +65,8 @@ __all__ = [
     "affine_map",
     "attach_meta",
     "build_leakage_report",
-    "candidate_stream",
     "categorize",
     "clip_negative",
-    "correlator_forecast",
     "custom_forecast",
     "decompose_classical",
     "find_global_matches",
@@ -90,7 +88,6 @@ __all__ = [
     "rolling_stats",
     "run_correlator",
     "ses_forecast",
-    "sliding_correlations",
     "smape",
     "sweep_correlator",
     "write_forecast_csv",

@@ -69,6 +69,13 @@ def _parse_threads(text: str) -> int:
     return check_threads(int(text))
 
 
+def _parse_lag(text: str) -> int:
+    m = int(text)
+    if m < 1:
+        raise ValueError(f"the seasonal lag must be >= 1, got {m}")
+    return m
+
+
 def _parse_members(text: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
@@ -360,8 +367,12 @@ def cmd_audit(args) -> int:
     exclusions = analysis.load_exclusions_csv(args.exclusions) if args.exclusions else None
     _check_past_only(dataset, params)
 
+    dated = any(ts.start_date is not None for ts in dataset)
+    if args.future_use and not dated:
+        raise ConfigError("--future-use needs start dates, and no series has one; "
+                          "supply an --info file with start dates")
     correlator_matches = None
-    if args.future_use is not False and any(ts.start_date is not None for ts in dataset):
+    if args.future_use is not False and dated:
         correlator_matches = run_correlator(dataset, params, **calls)
 
     report = analysis.build_leakage_report(
@@ -475,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("validate", cmd_validate, "holdout split, forecast, and evaluate")
     for name in ("evaluate", "sweep", "validate"):
-        sub.choices[name].add_argument("--m", type=int, default=1,
+        sub.choices[name].add_argument("--m", type=_flag_type(_parse_lag), default=1,
                                        help="seasonal-naive lag for MASE")
 
     return parser

@@ -8,6 +8,11 @@ position) and walked in order; a candidate whose mapped forecast is too
 dispersed is skipped and the next-best distinct (source, position) pair is
 tried, until one is accepted or the stream is exhausted.
 
+``CorrelationEngine`` is the one way in. Per target, ``sweep`` computes the
+tail stats once, scans once at the loosest threshold and walks the
+candidates once per (r_threshold, std_ratio) combo; ``forecast`` is its
+one-combo case, as ``run_correlator`` is of ``sweep_correlator``.
+
 Every r comes from one kernel, ``stats._window_r``, whose bits depend only
 on the window. The full scan runs it over the whole flat array of centered
 values in contiguous blocks and keeps the eligible windows (valid,
@@ -254,20 +259,17 @@ class CorrelationEngine:
             return None
         return tail, float(mean), float(std)
 
-    def _scan(self, j: int, r_threshold: float):
+    def _scan(self, j: int, tail, r_threshold: float):
         """All candidates with r >= threshold over valid non-terminal windows,
         as parallel arrays (ks, taus, rs, win_std, cont_std) in (k, tau)
-        ascending order.
+        ascending order; ``tail`` is target j's ``_tail_stats``.
 
         Candidates are looked up in the projection index; when the key range
         is dense the full scan runs instead. Both evaluate r with the same
         kernel, so they give the same arrays.
         """
         w = self.params.w
-        tail_info = self._tail_stats(j)
-        if tail_info is None:
-            return _EMPTY_SCAN
-        qhat = _normalized_query(tail_info[0])
+        qhat = _normalized_query(tail[0])
         # |qhat.u - what.u| <= |qhat - what| = sqrt(2w(1 - r)) for unit zero-sum u;
         # the kernel keeps r >= t only if the exact r >= t - r_slack.
         radius = np.sqrt(2 * w * (1.0 - r_threshold + self._r_slack)) + self._key_slack
@@ -319,11 +321,12 @@ class CorrelationEngine:
         r descending with ties broken by (k, tau) ascending."""
         if r_threshold is None:
             r_threshold = self.params.r_threshold
-        ks, taus, rs, _, _ = self._scan(j, r_threshold)
+        tail = self._tail_stats(j)
+        ks, taus, rs, _, _ = _EMPTY_SCAN if tail is None else self._scan(j, tail, r_threshold)
         order = np.lexsort((taus, ks, -rs))
         return ks[order], taus[order], rs[order]
 
-    def _walk(self, j: int, cands, r_threshold: float, std_ratio: float | None):
+    def _walk(self, j: int, tail, cands, r_threshold: float, std_ratio: float | None):
         """Best-ranked candidate that passes every acceptance condition.
 
         Walking candidates in descending-r order and accepting the first one
@@ -332,10 +335,7 @@ class CorrelationEngine:
         resolve to the smallest (k, tau) because the scan emits candidates
         in that order and argmax returns the first maximum.
         """
-        tail_info = self._tail_stats(j)
-        if tail_info is None:
-            return None
-        _, tail_mean, tail_std = tail_info
+        _, tail_mean, tail_std = tail
         target = self.dataset.series[j]
         w = self.params.w
         ks, taus, rs, win_std, cont_std = cands
@@ -377,42 +377,26 @@ class CorrelationEngine:
         )
 
     def forecast(self, j: int) -> CorrelatorMatch | None:
-        if self.params.bug1 and j + 1 > BUG1_CUTOFF:
-            return None
-        cands = self._scan(j, self.params.r_threshold)
-        return self._walk(j, cands, self.params.r_threshold, self.params.std_ratio)
+        """Accepted match for one target under the engine's own thresholds,
+        or None (a normal outcome)."""
+        return self.sweep(j, [(self.params.r_threshold, self.params.std_ratio)])[0]
 
     def sweep(self, j: int, combos) -> list[CorrelatorMatch | None]:
         """Acceptance outcome of each (r_threshold, std_ratio) combo for one
         target, reusing a single candidate scan at the loosest threshold."""
-        if self.params.bug1 and j + 1 > BUG1_CUTOFF:
+        tail = None if self.params.bug1 and j + 1 > BUG1_CUTOFF else self._tail_stats(j)
+        if tail is None:
             return [None] * len(combos)
-        min_r = min(r for r, _ in combos)
-        cands = self._scan(j, min_r)
-        return [self._walk(j, cands, r, s) for r, s in combos]
-
-
-def candidate_stream(j: int, dataset: Dataset, params: CorrelatorParams) -> list[tuple[int, int, float]]:
-    """Ordered candidate matches for one target: (source index, tau, r)."""
-    ks, taus, rs = CorrelationEngine(dataset, params).candidates(j)
-    return [(int(k), int(t), float(r)) for k, t, r in zip(ks, taus, rs)]
-
-
-def correlator_forecast(j: int, dataset: Dataset, params: CorrelatorParams) -> CorrelatorMatch | None:
-    """Best accepted match for one target, or None (a normal outcome)."""
-    return CorrelationEngine(dataset, params).forecast(j)
+        cands = self._scan(j, tail, min(r for r, _ in combos))
+        return [self._walk(j, tail, cands, r, s) for r, s in combos]
 
 
 def run_correlator(dataset: Dataset, params: CorrelatorParams,
                    threads: int = 1) -> dict[str, CorrelatorMatch]:
     """Apply the correlator to every series; map of id -> accepted match.
-
-    The result is assembled in dataset order and is identical for any
-    thread count.
-    """
-    engine = CorrelationEngine(dataset, params)
-    results = indexed_map(engine.forecast, len(dataset), threads)
-    return {ts.id: m for ts, m in zip(dataset, results) if m is not None}
+    The one-combo case of ``sweep_correlator``, so it is identical for any
+    thread count."""
+    return sweep_correlator(dataset, [(params.r_threshold, params.std_ratio)], params, threads)[0]
 
 
 def check_sweep(combos, params: CorrelatorParams) -> None:

@@ -1,4 +1,5 @@
-"""Numeric kernels: Pearson correlation and sliding-window correlation scans.
+"""Numeric kernels: Pearson correlation, rolling window stats and the
+window-correlation kernel of the correlator's scan.
 
 The forecaster's scan correlates a short query (typically 13-14 points)
 against every window of a series, from window stds precomputed once per
@@ -6,7 +7,7 @@ against every window of a series, from window stds precomputed once per
 column pass per query term over all windows at once, which for such short
 windows beats FFT-based schemes. Its fixed summation order makes a window's
 r independent of how windows are batched, so the correlator's two scan
-paths and ``sliding_correlations`` all give the same bits.
+paths give the same bits.
 """
 
 from __future__ import annotations
@@ -111,22 +112,3 @@ def _window_r(windows: np.ndarray, std: np.ndarray, qhat: np.ndarray) -> np.ndar
         acc /= w * std
     return np.clip(acc, -1.0, 1.0, out=acc)
 
-
-def sliding_correlations(query, series, stats: RollingStats | None = None):
-    """Correlate ``query`` against every length-w window of ``series``.
-
-    Returns ``(taus, rs)`` where tau is the 1-based index of the window's
-    last element (window = series[tau-w:tau]). Windows with zero std are
-    omitted. Raises ConstantInputError for a constant query.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    series = np.asarray(series, dtype=np.float64)
-    w = query.size
-    if stats is None:
-        stats = rolling_stats(series, w)
-    elif stats.w != w or stats.mean.size != series.size - w + 1:
-        raise ValueError("rolling stats do not match the query length and series")
-    qhat = _normalized_query(query)
-    r = _window_r(sliding_window_view(series - series.mean(), w), stats.std, qhat)
-    taus = np.nonzero(stats.valid)[0] + w
-    return taus, r[stats.valid]

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from corrcast import (
+    CorrelationEngine,
     CorrelatorParams,
     Dataset,
     TimeSeries,
-    correlator_forecast,
     custom_forecast,
     decompose_classical,
     mase,
@@ -64,7 +64,7 @@ def test_criterion_2_planted_match_recovery():
     recovered = 0
     for _ in range(200):
         d, plant = make_planted(rng)
-        match = correlator_forecast(d.position(plant.target_id), d, CorrelatorParams())
+        match = CorrelationEngine(d, CorrelatorParams()).forecast(d.position(plant.target_id))
         assert match is not None, "planted match not recovered"
         assert match.source_id == plant.source_id and match.tau == plant.tau
         assert match.forecast == pytest.approx(plant.expected_forecast, rel=1e-9, abs=1e-9)
@@ -74,7 +74,7 @@ def test_criterion_2_planted_match_recovery():
     false_hits = 0
     for _ in range(200):
         d, plant = make_planted(rng, corrupt=True)
-        match = correlator_forecast(d.position(plant.target_id), d, CorrelatorParams())
+        match = CorrelationEngine(d, CorrelatorParams()).forecast(d.position(plant.target_id))
         false_hits += match is not None
     assert false_hits == 0
     _passed("criterion 2: planted-match recovery (200/200 exact, 0/200 corrupted)")

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from corrcast import (
+    CorrelationEngine,
     CorrelatorMatch,
     CorrelatorParams,
     Dataset,
     TimeSeries,
     build_leakage_report,
-    candidate_stream,
     categorize,
     find_global_matches,
     future_use_stats,
@@ -142,8 +142,8 @@ class TestFindGlobalMatches:
         matches = find_global_matches(d, threshold=0.99)
         by_target = {m.target_id: m for m in matches}
         assert by_target["J"].overlap == W
-        cands = candidate_stream(0, d, CorrelatorParams(r_threshold=0.99))
-        top_k, top_tau, top_r = cands[0]
+        ks, taus, rs = CorrelationEngine(d, CorrelatorParams(r_threshold=0.99)).candidates(0)
+        top_k, top_tau, top_r = ks[0], taus[0], rs[0]
         assert (d.series[top_k].id, top_tau) == (by_target["J"].source_id, by_target["J"].tau)
         assert by_target["J"].r_prime == pytest.approx(top_r, abs=1e-9)
 

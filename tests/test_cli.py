@@ -257,6 +257,17 @@ class TestAuditCommand:
         assert summary["categories"]["T3"] == 0
         assert summary["future_use_fraction"] is None
 
+    def test_future_use_without_dates_exits_2(self, tmp_path, rng, capsys):
+        # The fraction needs start dates; asked for without them, it is a
+        # usage error rather than a null.
+        _, data, _ = self._audit_dataset(rng, tmp_path, with_dates=False)
+        out = tmp_path / "audit_fu"
+        rc = main(["audit", "--data", data, "--out", str(out), "--future-use",
+                   "--audit-threshold", "0.99", "--no-timestamp"])
+        assert rc == 2
+        assert "--info" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exclusions_reduce_matches(self, tmp_path, rng):
         _, data, info = self._audit_dataset(rng, tmp_path, with_dates=True)
         excl = tmp_path / "excl.csv"
@@ -381,6 +392,7 @@ class TestInvalidValues:
         **{f"threads_{cmd}": ([cmd, "--threads", value], "--threads")
            for cmd, value in (("forecast", "0"), ("sweep", "-3"), ("audit", "0"),
                               ("validate", "-1"), ("evaluate", "0"))},
+        **{f"m_{cmd}": ([cmd, "--m", "0"], "--m") for cmd in ("evaluate", "sweep", "validate")},
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

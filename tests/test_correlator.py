@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from corrcast import (
+    CorrelationEngine,
     CorrelatorParams,
     Dataset,
     TimeSeries,
     affine_map,
-    candidate_stream,
-    correlator_forecast,
     run_correlator,
     sweep_correlator,
 )
@@ -43,26 +42,26 @@ class TestAffineMap:
 class TestCandidateStream:
     def test_planted_match_is_first(self, rng):
         d, plant = make_planted(rng)
-        cands = candidate_stream(d.position(plant.target_id), d, CorrelatorParams())
-        assert cands, "planted match not found"
-        k, tau, r = cands[0]
-        assert d.series[k].id == plant.source_id
-        assert tau == plant.tau
-        assert r == pytest.approx(1.0, abs=1e-9)
+        engine = CorrelationEngine(d, CorrelatorParams())
+        ks, taus, rs = engine.candidates(d.position(plant.target_id))
+        assert ks.size, "planted match not found"
+        assert d.series[ks[0]].id == plant.source_id
+        assert taus[0] == plant.tau
+        assert rs[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_tail_gives_empty_stream(self, rng):
         d = Dataset([
             TimeSeries("C", np.concatenate([rng.normal(0, 1, 20), np.full(W, 3.0)])),
             TimeSeries("S", rng.normal(0, 1, 60)),
         ])
-        assert candidate_stream(0, d, CorrelatorParams()) == []
+        assert all(a.size == 0 for a in CorrelationEngine(d, CorrelatorParams()).candidates(0))
 
     def test_terminal_window_never_matches_itself(self, rng):
         # A series trivially contains its own final window, but only at the
         # terminal position, which is structurally out of range.
         d = Dataset([TimeSeries("A", rng.normal(0, 1, 80))])
-        cands = candidate_stream(0, d, CorrelatorParams(r_threshold=0.99))
-        for _, tau, _ in cands:
+        _, taus, _ = CorrelationEngine(d, CorrelatorParams(r_threshold=0.99)).candidates(0)
+        for tau in taus:
             assert W <= tau <= 80 - W
 
     def test_duplicate_windows_ordered_by_tau(self, rng):
@@ -75,23 +74,22 @@ class TestCandidateStream:
         mid = rng.normal(0, 1, 10)
         host = np.concatenate([prefix, window, c1, mid, window, c2, rng.normal(0, 1, 5)])
         d = Dataset([TimeSeries("T", target), TimeSeries("S", host)])
-        cands = candidate_stream(0, d, CorrelatorParams())
+        ks, taus, _ = CorrelationEngine(d, CorrelatorParams()).candidates(0)
         tau1 = prefix.size + W
         tau2 = prefix.size + 2 * W + mid.size + W
-        assert [(k, t) for k, t, _ in cands[:2]] == [(1, tau1), (1, tau2)]
+        assert list(zip(ks[:2].tolist(), taus[:2].tolist())) == [(1, tau1), (1, tau2)]
 
     def test_descending_r_order(self, rng):
         d, _ = make_planted(rng)
-        cands = candidate_stream(0, d, CorrelatorParams(r_threshold=0.1))
-        rs = [r for _, _, r in cands]
-        assert rs == sorted(rs, reverse=True)
+        _, _, rs = CorrelationEngine(d, CorrelatorParams(r_threshold=0.1)).candidates(0)
+        assert rs.tolist() == sorted(rs.tolist(), reverse=True)
 
 
 class TestCorrelatorForecast:
     def test_planted_forecast_recovered_exactly(self, rng):
         for _ in range(20):
             d, plant = make_planted(rng)
-            match = correlator_forecast(d.position(plant.target_id), d, CorrelatorParams())
+            match = CorrelationEngine(d, CorrelatorParams()).forecast(d.position(plant.target_id))
             assert match is not None
             assert match.source_id == plant.source_id
             assert match.tau == plant.tau
@@ -100,7 +98,7 @@ class TestCorrelatorForecast:
     def test_corrupted_plant_not_matched(self, rng):
         for _ in range(20):
             d, plant = make_planted(rng, corrupt=True)
-            match = correlator_forecast(d.position(plant.target_id), d, CorrelatorParams())
+            match = CorrelationEngine(d, CorrelatorParams()).forecast(d.position(plant.target_id))
             assert match is None
 
     def test_std_condition_skips_to_next_candidate(self, rng):
@@ -120,12 +118,12 @@ class TestCorrelatorForecast:
         d = Dataset([TimeSeries("T", target), TimeSeries("S", host)])
         tau2 = prefix.size + 2 * W + mid.size + W
 
-        match = correlator_forecast(0, d, CorrelatorParams(std_ratio=2.5))
+        match = CorrelationEngine(d, CorrelatorParams(std_ratio=2.5)).forecast(0)
         assert match is not None and match.tau == tau2
 
         # With the condition disabled the first (over-dispersed) copy wins.
         tau1 = prefix.size + W
-        match = correlator_forecast(0, d, CorrelatorParams(std_ratio=None))
+        match = CorrelationEngine(d, CorrelatorParams(std_ratio=None)).forecast(0)
         assert match is not None and match.tau == tau1
         fc_std = float(np.std(match.forecast))
         assert fc_std > 2.5 * tail_std
@@ -142,8 +140,8 @@ class TestCorrelatorForecast:
         d = Dataset([TimeSeries("T", target), TimeSeries("S", host)])
         # Forecast std is 5x the tail std: fails the target-window condition
         # but passes the (erroneous) source-window comparison.
-        assert correlator_forecast(0, d, CorrelatorParams(bug2=False)) is None
-        match = correlator_forecast(0, d, CorrelatorParams(bug2=True))
+        assert CorrelationEngine(d, CorrelatorParams(bug2=False)).forecast(0) is None
+        match = CorrelationEngine(d, CorrelatorParams(bug2=True)).forecast(0)
         assert match is not None
 
     def test_bug1_cuts_off_late_file_positions(self, rng):
@@ -181,9 +179,9 @@ class TestCorrelatorForecast:
         cont = window.mean() + np.std(window) * z
         vals = np.concatenate([base, window, cont, rng.normal(0, 1, 6), tail])
         d = Dataset([TimeSeries("A", vals)])
-        match = correlator_forecast(0, d, CorrelatorParams(include_self=True))
+        match = CorrelationEngine(d, CorrelatorParams(include_self=True)).forecast(0)
         assert match is not None and match.source_id == "A"
-        assert correlator_forecast(0, d, CorrelatorParams(include_self=False)) is None
+        assert CorrelationEngine(d, CorrelatorParams(include_self=False)).forecast(0) is None
 
 
 class TestDates:
@@ -193,7 +191,7 @@ class TestDates:
 
     def test_used_future_flag(self, rng):
         d, plant = self._dated(rng, date(2000, 1, 1), date(2000, 1, 1))
-        match = correlator_forecast(0, d, CorrelatorParams())
+        match = CorrelationEngine(d, CorrelatorParams()).forecast(0)
         assert match is not None
         n_target = len(d["T1"])
         last_consumed = plant.tau + W - 1
@@ -205,19 +203,19 @@ class TestDates:
     def test_past_only_skips_future_sources(self, rng):
         # Source aligned so its consumed span ends after the forecast origin.
         d, plant = self._dated(rng, date(2000, 1, 1), date(2005, 1, 1))
-        match = correlator_forecast(0, d, CorrelatorParams())
+        match = CorrelationEngine(d, CorrelatorParams()).forecast(0)
         assert match is not None and match.used_future is True
-        assert correlator_forecast(0, d, CorrelatorParams(past_only=True)) is None
+        assert CorrelationEngine(d, CorrelatorParams(past_only=True)).forecast(0) is None
 
     def test_past_only_keeps_past_sources(self, rng):
         d, plant = self._dated(rng, date(2005, 1, 1), date(1990, 1, 1))
-        match = correlator_forecast(0, d, CorrelatorParams(past_only=True))
+        match = CorrelationEngine(d, CorrelatorParams(past_only=True)).forecast(0)
         assert match is not None and match.used_future is False
 
     def test_past_only_without_dates_raises(self, rng):
         d, _ = make_planted(rng)
         with pytest.raises(ValueError, match=r"4 of 4 have none \(first: 'T1', 'S1'"):
-            correlator_forecast(0, d, CorrelatorParams(past_only=True))
+            CorrelationEngine(d, CorrelatorParams(past_only=True)).forecast(0)
 
     def test_past_only_with_one_undated_series_raises(self, rng):
         d, _ = make_planted(rng, start_dates={"T1": date(2000, 1, 1)})
@@ -228,7 +226,7 @@ class TestDates:
 
     def test_no_dates_means_unknown(self, rng):
         d, _ = make_planted(rng)
-        match = correlator_forecast(0, d, CorrelatorParams())
+        match = CorrelationEngine(d, CorrelatorParams()).forecast(0)
         assert match is not None and match.used_future is None
 
 

@@ -1,9 +1,13 @@
-"""Start-up cost: importing the CLI must not pull in scipy."""
+"""The package's import surface: importing the CLI must not pull in scipy,
+and the public names are pinned, so that adding or removing an export is a
+visible change to this file."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import corrcast
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -15,3 +19,24 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == ""
+
+
+PUBLIC = [
+    "ConstantInputError", "CorrelationEngine", "CorrelatorMatch", "CorrelatorParams",
+    "Dataset", "Decomposition", "Forecast", "GlobalMatch", "HoldoutSplit", "LeakageReport",
+    "MetricReport", "PipelineConfig", "RollingStats", "TimeSeries", "UndefinedMetricError",
+    "affine_map", "attach_meta", "build_leakage_report", "categorize", "clip_negative",
+    "custom_forecast", "decompose_classical", "find_global_matches", "future_use_stats",
+    "global_cross_correlation", "holdout_split", "linear_extrapolate", "load_m4_info",
+    "load_m4_values", "mase", "median_combine", "naive_benchmark", "naive_forecast",
+    "overlap_histogram", "owa_report", "pearson", "pipeline_forecast", "read_forecast_csv",
+    "rolling_stats", "run_correlator", "ses_forecast", "smape", "sweep_correlator",
+    "write_forecast_csv", "write_values_csv",
+]
+
+
+def test_public_names_are_pinned():
+    assert PUBLIC == sorted(PUBLIC)
+    assert corrcast.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(corrcast, name) is not None, name

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from corrcast import CorrelatorParams, Dataset, TimeSeries, pearson
-from corrcast.correlator import CorrelationEngine
+from corrcast.correlator import _EMPTY_SCAN, CorrelationEngine
 from corrcast.stats import ConstantInputError, rolling_stats
 from conftest import bench_corpus, make_multi_planted
 
@@ -26,10 +26,16 @@ THRESHOLDS = (1.0, 0.9999, 0.999, 0.99, 0.5)
 KINDS = ("walk", "ramp", "floor", "shift")
 
 
+def _tail_scan(engine, j, r_threshold):
+    """The engine's scan of target j; no candidates for a degenerate tail."""
+    tail = engine._tail_stats(j)
+    return _EMPTY_SCAN if tail is None else engine._scan(j, tail, r_threshold)
+
+
 def _scan(engine, j, r_threshold, dense_fraction):
     engine._DENSE_FRACTION = dense_fraction
     try:
-        return engine._scan(j, r_threshold)
+        return _tail_scan(engine, j, r_threshold)
     except ConstantInputError:
         return "constant query"
     finally:
@@ -166,7 +172,7 @@ def test_smooth_corpus_takes_the_full_scan(tmp_path):
     engine._full_scan = lambda *a: calls.append(a) or full_scan(*a)
     found = {}
     for j in range(len(data)):
-        ks, taus, _, _, _ = engine._scan(j, 0.99)
+        ks, taus, _, _, _ = _tail_scan(engine, j, 0.99)
         found[data.series[j].id] = {(data.series[k].id, t) for k, t in zip(ks.tolist(), taus.tolist())}
     assert len(calls) >= 0.75 * len(data)
     del engine._full_scan
@@ -187,7 +193,7 @@ def test_planted_random_walks_take_the_index(rng):
     engine._full_scan = lambda *a: calls.append(a)
     for sid, plant in plants.items():
         j = data.position(sid)
-        ks, taus, _, _, _ = engine._scan(j, 0.9999)
+        ks, taus, _, _, _ = _tail_scan(engine, j, 0.9999)
         assert (plant.source_index, plant.tau) in set(zip(ks.tolist(), taus.tolist()))
     assert calls == []
     del engine._full_scan
@@ -209,7 +215,7 @@ def test_ill_conditioned_windows_are_always_rescored():
                     TimeSeries("H", host)])
     engine = CorrelationEngine(data, CorrelatorParams(w=w))
     assert engine._loose.size > 0
-    ks, taus, rs, _, _ = engine._scan(0, 0.9999)
+    ks, taus, rs, _, _ = _tail_scan(engine, 0, 0.9999)
     assert (1, 50 + w) in set(zip(ks.tolist(), taus.tolist()))
     for r_threshold in THRESHOLDS:
         assert_paths_agree(engine, 0, r_threshold)
@@ -223,7 +229,7 @@ def test_self_matches_follow_include_self(rng, include_self):
     data = Dataset([TimeSeries("A", vals),
                     TimeSeries("B", np.cumsum(rng.normal(0.0, 1.0, 400)))])
     engine = CorrelationEngine(data, CorrelatorParams(include_self=include_self))
-    ks, taus, _, _, _ = engine._scan(0, 0.9999)
+    ks, taus, _, _, _ = _tail_scan(engine, 0, 0.9999)
     assert ((0, 100 + w) in set(zip(ks.tolist(), taus.tolist()))) == include_self
     for r_threshold in THRESHOLDS:
         assert_paths_agree(engine, 0, r_threshold)

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from corrcast import ConstantInputError, pearson, rolling_stats, sliding_correlations
+from corrcast import (
+    ConstantInputError,
+    CorrelationEngine,
+    CorrelatorParams,
+    Dataset,
+    TimeSeries,
+    pearson,
+    rolling_stats,
+)
 
 
 def direct_pearson(a, b):
@@ -94,56 +102,64 @@ class TestRollingStats:
             rolling_stats([1.0, 2.0], 3)
 
 
+def engine_correlations(query, series):
+    """(taus, rs) of every eligible window of ``series`` against ``query``,
+    in tau order, from the engine's scan at threshold -1: the query is a
+    target series of its own, too short to be a source."""
+    query = np.asarray(query, dtype=np.float64)
+    data = Dataset([TimeSeries("Q", query), TimeSeries("S", series)])
+    ks, taus, rs = CorrelationEngine(data, CorrelatorParams(w=query.size)).candidates(0, -1.0)
+    assert set(ks.tolist()) <= {1}
+    order = np.argsort(taus)
+    return taus[order], rs[order]
+
+
 class TestSlidingCorrelations:
+    """The correlator's window scan: every r it returns, threshold off."""
+
     def test_self_match_is_one(self, rng):
         series = rng.normal(0, 1, 120)
         w = 14
         query = series[40:54]
-        taus, rs = sliding_correlations(query, series)
+        taus, rs = engine_correlations(query, series)
         hit = rs[taus.tolist().index(54)]
         assert hit == pytest.approx(1.0, abs=1e-12)
 
     def test_range(self, rng):
         series = rng.normal(0, 1, 200)
-        _, rs = sliding_correlations(rng.normal(0, 1, 14), series)
+        _, rs = engine_correlations(rng.normal(0, 1, 14), series)
         assert np.all(rs <= 1.0) and np.all(rs >= -1.0)
 
     def test_matches_per_shift_pearson(self, rng):
         series = rng.normal(0, 1, 300)
         query = rng.normal(0, 1, 14)
-        taus, rs = sliding_correlations(query, series)
+        taus, rs = engine_correlations(query, series)
         for tau, r in zip(taus[::7], rs[::7]):
             assert r == pytest.approx(direct_pearson(query, series[tau - 14 : tau]), abs=1e-9)
 
     def test_affine_invariance_of_query(self, rng):
         series = rng.normal(0, 1, 200)
         query = rng.normal(0, 1, 14)
-        taus0, rs0 = sliding_correlations(query, series)
-        taus1, rs1 = sliding_correlations(0.3 * query + 7.0, series)
+        taus0, rs0 = engine_correlations(query, series)
+        taus1, rs1 = engine_correlations(0.3 * query + 7.0, series)
         assert np.array_equal(taus0, taus1)
         assert np.allclose(rs0, rs1, atol=1e-9)
-        _, rs2 = sliding_correlations(-2.0 * query + 1.0, series)
+        taus2, rs2 = engine_correlations(-2.0 * query + 1.0, series)
+        assert np.array_equal(taus0, taus2)
         assert np.allclose(rs2, -rs0, atol=1e-9)
 
     def test_invalid_windows_omitted(self, rng):
         series = np.concatenate([rng.normal(0, 1, 30), np.full(20, 4.0), rng.normal(0, 1, 30)])
         w = 14
-        taus, _ = sliding_correlations(rng.normal(0, 1, w), series)
+        taus, _ = engine_correlations(rng.normal(0, 1, w), series)
         # Windows fully inside the flat stretch end at 1-based positions 44..50.
         flat = set(range(30 + w, 51))
         assert flat.isdisjoint(taus.tolist())
+        assert taus.size == series.size - 2 * w + 1 - len(flat)
 
     def test_constant_query_rejected(self, rng):
-        with pytest.raises(ConstantInputError):
-            sliding_correlations(np.ones(14), rng.normal(0, 1, 100))
-
-    def test_precomputed_stats_reused(self, rng):
-        series = rng.normal(0, 1, 150)
-        from corrcast import rolling_stats as rs_fn
-
-        st = rs_fn(series, 14)
-        query = rng.normal(0, 1, 14)
-        taus0, rs0 = sliding_correlations(query, series, st)
-        taus1, rs1 = sliding_correlations(query, series)
-        assert np.array_equal(taus0, taus1)
-        assert np.array_equal(rs0, rs1)
+        # A constant target window has no defined r: no candidate, no match.
+        taus, _ = engine_correlations(np.ones(14), rng.normal(0, 1, 100))
+        assert taus.size == 0
+        data = Dataset([TimeSeries("Q", np.ones(14)), TimeSeries("S", rng.normal(0, 1, 100))])
+        assert CorrelationEngine(data, CorrelatorParams()).forecast(0) is None
