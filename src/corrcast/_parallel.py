@@ -4,12 +4,18 @@ Work is distributed by forking, so the callable and any large shared state
 (datasets, precomputed statistics) are inherited copy-on-write instead of
 being pickled. Results are returned in index order, making the output
 independent of the worker count.
+
+Warnings are independent of it too. A worker records the warnings each call
+raises and returns them with the result; the parent emits them again in
+index order, through the registry of the module that raised them, so each is
+shown or suppressed as it would be in one process.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -17,7 +23,24 @@ _WORK = None
 
 
 def _invoke(i):
-    return _WORK(i)
+    with warnings.catch_warnings(record=True) as caught:
+        result = _WORK(i)
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def _replay(caught, modules: dict) -> None:
+    """Emit warnings recorded in a worker as if raised here, where they were."""
+    for category, text, filename, lineno in caught:
+        if filename not in modules:
+            modules[filename] = next((m for m in list(sys.modules.values())
+                                      if getattr(m, "__file__", None) == filename), None)
+        module = modules[filename]
+        if module is None:
+            warnings.warn_explicit(text, category, filename, lineno)
+        else:
+            warnings.warn_explicit(text, category, filename, lineno, module=module.__name__,
+                                   registry=vars(module).setdefault("__warningregistry__", {}),
+                                   module_globals=vars(module))
 
 
 def check_threads(threads: int) -> int:
@@ -42,7 +65,11 @@ def indexed_map(work, n: int, threads: int = 1) -> list:
     try:
         workers = min(threads, n, os.cpu_count() or 1)
         chunk = max(1, n // (workers * 8))
+        results, modules = [], {}
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
-            return list(ex.map(_invoke, range(n), chunksize=chunk))
+            for result, caught in ex.map(_invoke, range(n), chunksize=chunk):
+                _replay(caught, modules)
+                results.append(result)
+        return results
     finally:
         _WORK = None

@@ -131,6 +131,27 @@ class HoldoutSplit:
     test: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _row_values(cells: list[str]) -> np.ndarray:
+    """The decimal cells of a row, trailing empty cells dropped, as float64
+    in one cast; ValueError when a cell is not a number."""
+    end = len(cells)
+    while end and cells[end - 1].strip() == "":
+        end -= 1
+    return np.array(cells[:end], dtype=np.float64)
+
+
+def _bad_cell(sid: str, cells: list[str]) -> LoadError:
+    """The error naming the first malformed or non-finite cell of a row."""
+    for i, cell in enumerate(cells):
+        try:
+            v = float(cell)
+        except ValueError:
+            return LoadError(f"malformed value in row {sid!r}, column {i + 2}: {cell!r}")
+        if not math.isfinite(v):
+            return LoadError(f"non-finite value in row {sid!r}, column {i + 2}: {cell!r}")
+    return LoadError(f"malformed values in row {sid!r}")
+
+
 def load_m4_values(path: str | Path) -> Dataset:
     """Load a ragged M4 values CSV into a Dataset.
 
@@ -152,22 +173,12 @@ def load_m4_values(path: str | Path) -> Dataset:
             sid = row[0].strip()
             if not sid:
                 raise LoadError(f"{path}: row {reader.line_num} has an empty series id")
-            cells = row[1:]
-            while cells and cells[-1].strip() == "":
-                cells.pop()
-            values = np.empty(len(cells), dtype=np.float64)
-            for i, cell in enumerate(cells):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise LoadError(
-                        f"malformed value in row {sid!r}, column {i + 2}: {cell!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise LoadError(
-                        f"non-finite value in row {sid!r}, column {i + 2}: {cell!r}"
-                    )
-                values[i] = v
+            try:
+                values = _row_values(row[1:])
+            except ValueError:
+                values = None
+            if values is None or not np.isfinite(values).all():
+                raise _bad_cell(sid, row[1:])
             if values.size == 0:
                 raise LoadError(f"series {sid!r} has no values")
             series.append(TimeSeries(id=sid, values=values))
@@ -344,11 +355,8 @@ def read_forecast_csv(path: str | Path) -> dict[str, np.ndarray]:
             sid = row[0].strip()
             if sid in out:
                 raise LoadError(f"{path}: duplicate forecast id {sid!r}")
-            cells = row[1:]
-            while cells and cells[-1].strip() == "":
-                cells.pop()
             try:
-                out[sid] = np.array([float(c) for c in cells], dtype=np.float64)
+                out[sid] = _row_values(row[1:])
             except ValueError:
                 raise LoadError(f"{path}: malformed forecast row for {sid!r}") from None
     return out

@@ -1,5 +1,11 @@
 """Forecast pipeline: window-matching forecasts where accepted, a pointwise
 median of configured forecasters elsewhere, and negative clipping last.
+
+A series' ensemble works on plain arrays: each member's output is checked
+as a ``Forecast`` would check it, the survivors are stacked and sorted down
+the columns, and the median is the middle row (the mean of the two middle
+rows for an even count), with the same bits as ``np.median``. Each series
+then gets one clipped ``Forecast`` record.
 """
 
 from __future__ import annotations
@@ -55,18 +61,25 @@ class PipelineConfig:
             )
 
 
+def _median(sid: str, parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Pointwise median of equal-length vectors (midpoint for even counts)."""
+    if any(len(p) != len(parts[0]) for p in parts):
+        raise ValueError(f"forecast length mismatch for {sid!r}: {[len(p) for p in parts]}")
+    ordered = np.sort(np.vstack(parts), axis=0)
+    mid = len(parts) // 2
+    # np.median takes np.mean of the middle rows, and np.mean's sum starts
+    # at 0.0, which turns a -0.0 into 0.0; starting at 0.0 here matches it.
+    if len(parts) % 2:
+        return 0.0 + ordered[mid]
+    return (0.0 + ordered[mid - 1] + ordered[mid]) / 2.0
+
+
 def median_combine(forecasts: Sequence[Forecast]) -> Forecast:
     """Pointwise median of member forecasts (midpoint for even counts)."""
     if not forecasts:
         raise ValueError("no forecasts to combine")
-    length = len(forecasts[0].values)
-    if any(len(f.values) != length for f in forecasts):
-        raise ValueError(
-            f"forecast length mismatch for {forecasts[0].id!r}: "
-            f"{[len(f.values) for f in forecasts]}"
-        )
-    stacked = np.vstack([f.values for f in forecasts])
-    return Forecast(id=forecasts[0].id, values=np.median(stacked, axis=0), method="Ensemble")
+    sid = forecasts[0].id
+    return Forecast(id=sid, values=_median(sid, [f.values for f in forecasts]), method="Ensemble")
 
 
 def clip_negative(forecast: Forecast) -> Forecast:
@@ -79,7 +92,7 @@ def _ensemble_values(ts, h: int, members: Sequence[str],
                      external_tables: Mapping[str, Mapping[str, np.ndarray]]) -> tuple[np.ndarray, str]:
     """Median of the members that succeed on one series; naive fallback when
     every member fails."""
-    parts: list[Forecast] = []
+    parts: list[np.ndarray] = []
     for name in members:
         try:
             if name in BUILTIN_MEMBERS:
@@ -95,14 +108,13 @@ def _ensemble_values(ts, h: int, members: Sequence[str],
                         f"values, need {h}"
                     )
                 vals = np.asarray(vals[:h], dtype=np.float64)
-            parts.append(Forecast(id=ts.id, values=vals, method=name))
+            parts.append(Forecast.checked(ts.id, vals))
         except Exception as exc:  # noqa: BLE001 - one bad member must not abort the run
             warnings.warn(f"member {name!r} failed on series {ts.id!r}: {exc}")
     if not parts:
         warnings.warn(f"all ensemble members failed on {ts.id!r}; falling back to naive")
         return naive_forecast(ts.values, h), "Naive"
-    combined = median_combine(parts)
-    return combined.values, combined.method
+    return _median(ts.id, parts), "Ensemble"
 
 
 def pipeline_forecast(dataset: Dataset, config: PipelineConfig, threads: int = 1,
@@ -139,7 +151,9 @@ def pipeline_forecast(dataset: Dataset, config: PipelineConfig, threads: int = 1
     results = indexed_map(work, len(dataset), threads)
     out: dict[str, Forecast] = {}
     for ts, (values, method) in zip(dataset, results):
-        out[ts.id] = clip_negative(Forecast(id=ts.id, values=values, method=method))
+        # Checked before the clip, which would turn a -inf into 0.
+        clipped = np.maximum(Forecast.checked(ts.id, values), 0.0)
+        out[ts.id] = Forecast(id=ts.id, values=clipped, method=method)
     return out
 
 

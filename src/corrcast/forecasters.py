@@ -36,12 +36,17 @@ class Forecast:
     method: str
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size < 1 or not np.all(np.isfinite(vals)):
-            raise ValueError(f"forecast for {self.id!r} must be a finite non-empty vector")
-        vals = vals.copy()
+        vals = Forecast.checked(self.id, self.values).copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @staticmethod
+    def checked(sid: str, values) -> np.ndarray:
+        """``values`` as float64; ValueError unless a finite non-empty vector."""
+        vals = np.asarray(values, dtype=np.float64)
+        if vals.ndim != 1 or vals.size < 1 or not np.isfinite(vals).all():
+            raise ValueError(f"forecast for {sid!r} must be a finite non-empty vector")
+        return vals
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,17 @@ of their values relative to a naive benchmark.
 Aggregation follows the M4 convention: metrics are averaged over series
 first, and the relative metrics are ratios of those averages (not averages
 of per-series ratios).
+
+``owa_report`` scores many series at once: it takes each series' MASE scale
+once, from its own ragged training values, then stacks the series that share
+a horizon into 2-D arrays and computes sMAPE and the mean absolute errors as
+row reductions. A row reduction sums each row exactly as the 1-D mean of
+``mase`` and ``smape`` sums that series, so both give the same bits.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -31,6 +38,24 @@ class UndefinedMetricError(ValueError):
     """MASE is undefined: the in-sample seasonal-naive error is zero."""
 
 
+def _mase_scale(train: np.ndarray, m: int) -> float:
+    """In-sample mean absolute error of the m-step seasonal-naive forecast."""
+    if m < 1:
+        raise ValueError(f"seasonality must be >= 1, got {m}")
+    if train.size <= m:
+        raise ValueError(f"training series of length {train.size} too short for m={m}")
+    return np.mean(np.abs(train[m:] - train[:-m]))
+
+
+def _smape_rows(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray:
+    """sMAPE of each row of two equal-shape 2-D arrays."""
+    denom = np.abs(actual) + np.abs(forecast)
+    terms = np.zeros_like(denom)
+    nz = denom > 0.0
+    terms[nz] = np.abs(actual[nz] - forecast[nz]) / denom[nz]
+    return 200.0 * terms.mean(axis=1)
+
+
 def mase(train, actual, forecast, m: int = 1) -> float:
     """Mean absolute scaled error.
 
@@ -41,13 +66,9 @@ def mase(train, actual, forecast, m: int = 1) -> float:
     train = np.asarray(train, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
     forecast = np.asarray(forecast, dtype=np.float64)
-    if m < 1:
-        raise ValueError(f"seasonality must be >= 1, got {m}")
-    if train.size <= m:
-        raise ValueError(f"training series of length {train.size} too short for m={m}")
+    scale = _mase_scale(train, m)
     if actual.shape != forecast.shape:
         raise ValueError("actual and forecast lengths differ")
-    scale = np.mean(np.abs(train[m:] - train[:-m]))
     if scale <= 0.0:
         raise UndefinedMetricError(
             f"in-sample seasonal-naive error is zero at lag {m}; MASE undefined"
@@ -64,11 +85,7 @@ def smape(actual, forecast) -> float:
     forecast = np.asarray(forecast, dtype=np.float64)
     if actual.shape != forecast.shape:
         raise ValueError("actual and forecast lengths differ")
-    denom = np.abs(actual) + np.abs(forecast)
-    terms = np.zeros_like(denom)
-    nz = denom > 0.0
-    terms[nz] = np.abs(actual[nz] - forecast[nz]) / denom[nz]
-    return float(200.0 * terms.mean())
+    return float(_smape_rows(actual.reshape(1, -1), forecast.reshape(1, -1))[0])
 
 
 @dataclass
@@ -119,35 +136,49 @@ def owa_report(
     if missing:
         raise ValueError(f"missing benchmark/train/actual values for ids: {missing}")
 
-    per_series: dict[str, tuple[float | None, float]] = {}
-    excluded: list[str] = []
-    mase_f, mase_b, smape_f, smape_b = [], [], [], []
-    for sid in ids:
+    # One pass in id order checks every series as mase and smape would, so
+    # the first bad series raises the same error, and takes each MASE scale.
+    n = len(ids)
+    scale = np.empty(n)
+    by_shape: dict[tuple, list[int]] = {}
+    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (actual, forecast, benchmark)
+    for i, sid in enumerate(ids):
+        actual = np.asarray(split.test[sid], dtype=np.float64)
         fc = _values_of(forecasts[sid])
         bench = _values_of(benchmark[sid])
-        train = split.train[sid].values
-        actual = split.test[sid]
-        s_f = smape(actual, fc)
-        s_b = smape(actual, bench)
-        smape_f.append(s_f)
-        smape_b.append(s_b)
-        try:
-            m_f = mase(train, actual, fc, m=m)
-            m_b = mase(train, actual, bench, m=m)
-        except UndefinedMetricError:
-            per_series[sid] = (None, s_f)
-            excluded.append(sid)
-            continue
-        per_series[sid] = (m_f, s_f)
-        mase_f.append(m_f)
-        mase_b.append(m_b)
+        if fc.shape != actual.shape or bench.shape != actual.shape:
+            raise ValueError("actual and forecast lengths differ")
+        scale[i] = _mase_scale(split.train[sid].values, m)
+        by_shape.setdefault(actual.shape, []).append(i)
+        rows.append((actual, fc, bench))
+
+    smape_f, smape_b = np.empty(n), np.empty(n)
+    mae_f, mae_b = np.empty(n), np.empty(n)
+    for shape, idx in by_shape.items():
+        # C-contiguous stacks, one row per series.
+        actual, fc, bench = (np.array(column).reshape(len(idx), math.prod(shape))
+                             for column in zip(*(rows[i] for i in idx)))
+        smape_f[idx] = _smape_rows(actual, fc)
+        smape_b[idx] = _smape_rows(actual, bench)
+        mae_f[idx] = np.abs(actual - fc).mean(axis=1)
+        mae_b[idx] = np.abs(actual - bench).mean(axis=1)
+
+    defined = scale > 0.0
+    mase_f = mae_f[defined] / scale[defined]
+    mase_b = mae_b[defined] / scale[defined]
+    defined_mase = iter(mase_f.tolist())
+    per_series: dict[str, tuple[float | None, float]] = {
+        sid: (next(defined_mase) if ok else None, s_f)
+        for sid, ok, s_f in zip(ids, defined.tolist(), smape_f.tolist())
+    }
+    excluded = [sid for sid, ok in zip(ids, defined.tolist()) if not ok]
 
     if excluded:
         warnings.warn(
             f"MASE undefined for {len(excluded)} series (constant training data); "
             f"excluded from MASE aggregation: {excluded[:5]}"
         )
-    if not mase_f:
+    if not mase_f.size:
         raise UndefinedMetricError("MASE undefined for every series; cannot aggregate")
 
     agg_mase = float(np.mean(mase_f))

@@ -62,6 +62,47 @@ class TestLoadValues:
         with pytest.raises(LoadError, match="no values"):
             load_m4_values(path)
 
+    def test_quoted_m4_row(self, tmp_path):
+        path = write_lines(tmp_path / "v.csv", ['"V1","V2","V3"', '"D1","1.5","2"'])
+        d = load_m4_values(path)
+        assert d.ids() == ["D1"]
+        assert d["D1"].values.tolist() == [1.5, 2.0]
+
+    # Each row is cast in one go; every cell must read as float() reads it.
+    @pytest.mark.parametrize("cell", [" 2.5", "3.25 ", " 7 ", "\t4", "1_000", "1_0.5_5", "-0.0",
+                                      "+.5", "5.", "1e-400", "4.9e-324", "1.7976931348623157e308"])
+    def test_cells_read_as_float_reads_them(self, tmp_path, cell):
+        values = write_lines(tmp_path / "v.csv", ["id,V1,V2", f"D1,{cell},1"])
+        forecasts = write_lines(tmp_path / "f.csv", ["id,F1,F2", f"D1,{cell},1"])
+        want = np.array([float(cell), 1.0]).tobytes()
+        assert load_m4_values(values)["D1"].values.tobytes() == want
+        assert read_forecast_csv(forecasts)["D1"].tobytes() == want
+
+    @pytest.mark.parametrize("cell", ["1e400", "-1e400"])
+    def test_overflowing_cell(self, tmp_path, cell):
+        values = write_lines(tmp_path / "v.csv", ["id,V1,V2", f"D1,1,{cell}"])
+        with pytest.raises(LoadError, match=rf"non-finite value in row 'D1', column 3: '{cell}'"):
+            load_m4_values(values)
+        forecasts = write_lines(tmp_path / "f.csv", ["id,F1,F2", f"D1,1,{cell}"])
+        assert read_forecast_csv(forecasts)["D1"].tolist() == [1.0, float(cell)]
+
+    @pytest.mark.parametrize("cell", ["1__0", "_1", "1_", "1 2", "0x10", "1.5.1"])
+    def test_cells_float_refuses(self, tmp_path, cell):
+        with pytest.raises(ValueError):
+            float(cell)
+        values = write_lines(tmp_path / "v.csv", ["id,V1,V2,V3", f"D1,1,{cell},2"])
+        with pytest.raises(LoadError, match=rf"malformed value in row 'D1', column 3: '{cell}'"):
+            load_m4_values(values)
+        forecasts = write_lines(tmp_path / "f.csv", ["id,F1,F2,F3", f"D1,1,{cell},2"])
+        with pytest.raises(LoadError, match="malformed forecast row for 'D1'"):
+            read_forecast_csv(forecasts)
+
+    def test_first_bad_cell_is_named(self, tmp_path):
+        # A non-finite cell before a malformed one is the one reported.
+        path = write_lines(tmp_path / "v.csv", ["id,V1,V2,V3,V4", "D1,1,inf,x,,"])
+        with pytest.raises(LoadError, match=r"non-finite value in row 'D1', column 3: 'inf'"):
+            load_m4_values(path)
+
     def test_round_trip_bit_identical(self, tmp_path, rng):
         series = [
             TimeSeries("D1", rng.normal(0, 1, 17)),

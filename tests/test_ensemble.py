@@ -1,7 +1,12 @@
 """Pipeline tests: median combination, clipping, provenance, failure policy."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrcast import (
     CorrelatorParams,
@@ -15,6 +20,7 @@ from corrcast import (
     pipeline_forecast,
     write_forecast_csv,
 )
+from corrcast import ensemble
 from conftest import make_planted
 
 
@@ -171,3 +177,80 @@ class TestPipeline:
         )
         out = pipeline_forecast(d, cfg)
         assert out[plant.target_id].method == "Correlator"
+
+
+# --- the ensemble combine against np.median ----------------------------------
+
+# Signed zeros and wide magnitudes: np.median sums its middle rows from 0.0,
+# so a lone -0.0 comes out as 0.0, and the combine has to do the same.
+_MEMBER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def member_cases(draw):
+    """(name, output) per member, in member order: 1-5 good outputs of one
+    length, with a raising member and a NaN member sometimes mixed in."""
+    h = draw(st.integers(1, 20))
+    k = draw(st.integers(1, 5))
+    members = [(f"m{i}", np.array(draw(st.lists(_MEMBER_VALUES, min_size=h, max_size=h))))
+               for i in range(k)]
+    for name, output in (("raises", None), ("nan", np.full(h, np.nan))):
+        if draw(st.booleans()):
+            members.insert(draw(st.integers(0, len(members))), (name, output))
+    return h, members
+
+
+def _member(output):
+    def forecast(series, h):
+        if output is None:
+            raise RuntimeError("boom")
+        return output
+    return forecast
+
+
+class TestEnsembleCombine:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(member_cases())
+    def test_equals_np_median_of_surviving_members(self, case):
+        h, members = case
+        ts = TimeSeries("A", np.arange(1.0, 40.0))
+        with mock.patch.dict(ensemble.BUILTIN_MEMBERS,
+                             {name: _member(out) for name, out in members}):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                values, method = ensemble._ensemble_values(
+                    ts, h, [name for name, _ in members], {})
+        survivors = [out for name, out in members if name.startswith("m")]
+        want = np.median(np.vstack(survivors), axis=0)
+        assert values.tobytes() == want.tobytes()
+        assert method == "Ensemble"
+        combined = median_combine([_fc("A", out) for out in survivors])
+        assert combined.values.tobytes() == want.tobytes()
+        expected_warnings = {
+            "raises": "member 'raises' failed on series 'A': boom",
+            "nan": "member 'nan' failed on series 'A': forecast for 'A' must be a finite "
+                   "non-empty vector",
+        }
+        assert [str(w.message) for w in caught] == [
+            expected_warnings[name] for name, _ in members if not name.startswith("m")]
+
+    def test_member_length_mismatch_raises(self):
+        d = Dataset([TimeSeries("A", np.arange(1.0, 40.0))])
+        outputs = {"m0": _member(np.ones(4)), "m1": _member(np.ones(5))}
+        with mock.patch.dict(ensemble.BUILTIN_MEMBERS, outputs):
+            cfg = PipelineConfig(correlator=None, members=("m0", "m1"), horizon=4)
+            with pytest.raises(ValueError, match=r"forecast length mismatch for 'A': \[4, 5\]"):
+                pipeline_forecast(d, cfg)
+
+    def test_overflowing_median_is_not_clipped_to_zero(self):
+        # The mean of the two middle members overflows to -inf; the check
+        # before the clip rejects it instead of clipping it to 0.
+        d = Dataset([TimeSeries("A", np.arange(1.0, 40.0))])
+        outputs = {"m0": _member(np.full(2, -1.7e308)), "m1": _member(np.full(2, -1.7e308))}
+        with mock.patch.dict(ensemble.BUILTIN_MEMBERS, outputs):
+            cfg = PipelineConfig(correlator=None, members=("m0", "m1"), horizon=2)
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+                pipeline_forecast(d, cfg)
