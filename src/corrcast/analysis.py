@@ -5,14 +5,16 @@ statistics.
 For a target series the scan slides every other series past it and, at
 each alignment ending at window position tau, correlates the whole
 overlapping region (length min(n_target, tau)) rather than a fixed short
-window. Cross terms for all alignments of one pair are a single linear
-convolution of the reversed target with the source, taken by FFT at the
-pair's own length (the smallest 5-smooth one that holds it); sources that
-share that length go through one 2-D transform, and no spectrum outlives
-its target. Segment sums come from per-series prefix sums, and r' is
-evaluated for all alignments at once in fixed-size chunks of flat arrays.
-Only the best match per target is kept (no all-pairs matrix is
-materialized).
+window. The overlap dot products of a pair of series, for every alignment
+in both directions, are one linear convolution of one series reversed with
+the other, taken by FFT at the pair's own length (the smallest 5-smooth one
+that holds it). The audit convolves each unordered pair once and both
+targets read their half (the AB/BA-join symmetry of Matrix Profile's STOMP),
+in tiles of series of neighbouring lengths that share each spectrum. Series
+with bit-identical standardized values are scanned once, as their first
+member. Segment sums come from per-series prefix sums, r' is evaluated over
+flat batches of alignments, and only the best match per target is kept (no
+all-pairs matrix is materialized).
 """
 
 from __future__ import annotations
@@ -41,10 +43,16 @@ DEFAULT_MARGIN = 14
 # keep those corpora and their recorded outputs unchanged.
 DEFAULT_FFT_MIN_WORK = 1 << 20
 
-# Alignments per block of the r' evaluation; a 2-D FFT batch holds up to
-# 4 * _CHUNK values, as its three arrays take about what the dozen r'
-# temporaries take. Bounds the scan's temporaries whatever the dataset size.
+# Alignments per batch of the r' evaluation (a batch ends at the first pair
+# that reaches it); a 2-D FFT batch holds up to 4 * _CHUNK values, as its
+# three arrays take about what the dozen r' temporaries take. Bounds the
+# scan's temporaries whatever the dataset size.
 _CHUNK = 1 << 13
+
+# Groups per side of a tile of the all-pairs scan: a tile holds the spectra
+# of at most 2 * _TILE series at one FFT length. The result does not depend
+# on it.
+_TILE = 16
 
 # Variance floor (on globally standardized values) below which an
 # overlapping segment counts as constant and is skipped.
@@ -121,8 +129,17 @@ def global_cross_correlation(j: int, k: int, tau: int, dataset: Dataset,
 
 class GlobalScanEngine:
     """Flat state for the all-pairs best-match scan: the standardized
-    values and their prefix sums concatenated per series, and every
-    alignment (source k, window end tau) in (k, tau) order."""
+    values and their prefix sums concatenated per series, and the groups of
+    series whose standardized values are bit-identical.
+
+    A group is scanned once, as its first member, and ranks by that member.
+    Each unordered pair of groups (g, h), rank g <= h, is convolved once,
+    reversed g with h, at the pair's FFT length; target g reads the
+    convolution forward and target h reads it mirrored. So a pair's bits do
+    not depend on which scan asks for them, and verbatim duplicates tie
+    exactly. Alignments come from the series lengths: no per-alignment
+    array is kept.
+    """
 
     def __init__(self, dataset: Dataset, margin: int = DEFAULT_MARGIN):
         self.dataset = dataset
@@ -142,104 +159,228 @@ class GlobalScanEngine:
         self._size = np.array(sizes, dtype=np.int64)
         self._start = np.concatenate(([0], np.cumsum(self._size)))
         self._z = np.concatenate([np.zeros(0), *values])
-        # Series k's prefix sums, a leading 0 included, start at _start[k] + k.
-        self._prefix = np.concatenate([np.zeros(0)] + [
-            np.concatenate(([0.0], np.cumsum(z))) for z in values])
-        self._prefix_sq = np.concatenate([np.zeros(0)] + [
-            np.concatenate(([0.0], np.cumsum(z * z))) for z in values])
-        # Sources with at least one alignment tau in [max(w, 1), n_k - w];
-        # tau = 0 has no overlap to correlate.
+        del values
+        # Rows: prefix sums of z and of z * z. Series k's, a leading 0
+        # included, start at column _start[k] + k.
+        self._prefix = np.zeros((2, self._z.size + len(sizes)))
+        # Series whose standardized values are bit-identical form one group;
+        # _group[j] is series j's, -1 for size 0, and _rep[g] is group g's
+        # first member. Groups are keyed by the hash of their bytes.
+        self._group = np.full(len(sizes), -1, dtype=np.int64)
+        reps: list[int] = []
+        by_hash: dict[int, list[int]] = {}
+        for j, n in enumerate(sizes):
+            z = self._z[self._start[j]: self._start[j + 1]]
+            at = self._start[j] + j + 1
+            np.cumsum(z, out=self._prefix[0, at: at + n])
+            np.cumsum(z * z, out=self._prefix[1, at: at + n])
+            if n:
+                bits = z.view(np.int64)
+                same = by_hash.setdefault(hash(bits.tobytes()), [])
+                g = next((g for g in same if np.array_equal(
+                    self._z[self._start[reps[g]]: self._start[reps[g] + 1]].view(np.int64),
+                    bits)), None)
+                if g is None:
+                    g = len(reps)
+                    reps.append(j)
+                    same.append(g)
+                self._group[j] = g
+        self._rep = np.array(reps, dtype=np.int64)
+        # Alignments tau run over [max(w, 1), n_k - w]; tau = 0 has no
+        # overlap to correlate. Shorter groups are targets only.
         w = margin
         self._lo = max(w, 1)
-        self._sources = np.flatnonzero(self._size >= max(2 * w, 2))
-        counts = self._size[self._sources] - w - self._lo + 1
-        self._align_start = np.concatenate(([0], np.cumsum(counts)))
-        self._tau = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-            np.arange(self._lo, self._size[k] - w + 1) for k in self._sources])
-        self._end = self._tau + np.repeat(self._start[self._sources] + self._sources, counts)
-        # Sources in length order, so every target's pair lengths ascend.
-        self._by_size = np.argsort(self._size[self._sources], kind="stable")
+        self._n = self._size[self._rep]
+        self._source = self._n >= max(2 * w, 2)
+        # Groups in length order: tiles of neighbours share FFT lengths.
+        self._by_size = np.argsort(self._n, kind="stable")
         self._ladder = _fast_lengths(2 * int(self._size.max(initial=1)))
 
-    def _cross_terms(self, j: int) -> np.ndarray:
-        """Overlap dot products of target j with every alignment, in (k,
-        tau) order: for each pair the full convolution of the reversed
-        target with the source, whose value at index tau - 1 is the dot
-        product at tau. Sources are transformed in 2-D batches that share
-        the pair's FFT length, the smallest 5-smooth one >= n_j + n_k - 1."""
-        n_j, lo, w = int(self._size[j]), self._lo, self.margin
-        u = self._z[self._start[j]: self._start[j] + n_j][::-1]
-        order = self._by_size
-        sizes = self._size[self._sources[order]]
-        rungs = self._ladder[np.searchsorted(self._ladder, n_j + sizes - 1)]
-        cross = np.empty(self._tau.size)
-        first = 0
-        while first < order.size:
-            n_fft = int(rungs[first])
-            last = min(int(np.searchsorted(rungs, n_fft, side="right")),
-                       first + max(1, 4 * _CHUNK // n_fft))
-            # Row 0 is the target, so one 2-D transform gives its spectrum too.
-            batch = np.zeros((1 + last - first, n_fft))
-            batch[0, :n_j] = u
-            for row, i in enumerate(order[first:last], start=1):
-                k = self._sources[i]
-                batch[row, : sizes[first + row - 1]] = self._z[self._start[k]: self._start[k + 1]]
-            spectra = np.fft.rfft(batch)
-            conv = np.fft.irfft(spectra[1:] * spectra[0], n_fft)
-            for row, i in enumerate(order[first:last]):
-                cross[self._align_start[i]: self._align_start[i + 1]] = \
-                    conv[row, lo - 1: sizes[first + row] - w]
-            first = last
-        return cross
+    def _values(self, g: int) -> np.ndarray:
+        k = self._rep[g]
+        return self._z[self._start[k]: self._start[k + 1]]
+
+    def _moments(self, targets: Iterable[int]) -> dict[int, np.ndarray]:
+        """Per target group, rows by overlap m: m itself, the mean and the
+        variance of the final m points, and 1.0 where m >= 2 and the
+        variance passes the floor, else 0.0."""
+        moments = {}
+        for g in targets:
+            n = int(self._n[g])
+            p0 = self._start[self._rep[g]] + self._rep[g]
+            pj, pj_sq = self._prefix[:, p0: p0 + n + 1]
+            m = np.arange(n + 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mu = (pj[n] - pj[n::-1]) / m
+                var = (pj_sq[n] - pj_sq[n::-1]) / m - mu * mu
+            moments[g] = np.stack([m, mu, var, (m >= 2) & (var > _SEGMENT_VAR_FLOOR)])
+        return moments
+
+    def _best_alignments(self, segments: list[tuple[int, int, np.ndarray]],
+                         moments: dict[int, np.ndarray]) -> list[tuple[int, tuple]]:
+        """(target, least (-r', source, tau)) of each (target group, source
+        group, cross terms by tau) segment with a valid alignment, source
+        being the source group's first member. One pass evaluates r' for
+        every segment."""
+        lo_w = self._lo
+        cross = np.concatenate([terms for _, _, terms in segments])
+        side_a = np.empty((4, cross.size))
+        sums_b = np.empty((2, cross.size))
+        at = 0
+        for t, h, terms in segments:
+            n, k = moments[t].shape[1] - 1, self._rep[h]
+            # Overlap m = tau while tau <= n, then n: the source segment
+            # [tau - m, tau) runs from the source's start, then slides.
+            ramp = min(terms.size, max(n - lo_w + 1, 0))
+            a, b, c = at, at + ramp, at + terms.size
+            side_a[:, a:b] = moments[t][:, lo_w: lo_w + ramp]
+            side_a[:, b:c] = moments[t][:, n: n + 1]
+            base = self._start[k] + k
+            e = base + lo_w
+            np.subtract(self._prefix[:, e: e + ramp], self._prefix[:, base: base + 1],
+                        out=sums_b[:, a:b])
+            np.subtract(self._prefix[:, e + ramp: e + terms.size],
+                        self._prefix[:, e + ramp - n: e + terms.size - n], out=sums_b[:, b:c])
+            at = c
+        m, mu_a, var_a, valid_a = side_a
+        sum_b, sumsq_b = sums_b
+        mu_b = sum_b / m
+        var_b = sumsq_b / m - mu_b * mu_b
+        valid = (valid_a != 0.0) & (var_b > _SEGMENT_VAR_FLOOR)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = cross - m * mu_a * mu_b
+            r /= m * np.sqrt(var_a * var_b)
+        np.clip(r, -1.0, 1.0, out=r)
+        r[~valid] = -np.inf
+        found = []
+        at = 0
+        for t, h, terms in segments:
+            # The first maximum: an equal r' at a later tau does not win.
+            pos = int(np.argmax(r[at: at + terms.size]))
+            if r[at + pos] > -np.inf:
+                found.append((t, (-float(r[at + pos]), int(self._rep[h]), lo_w + pos)))
+            at += terms.size
+        return found
+
+    def _cross_terms(self, lo: np.ndarray, hi: np.ndarray, targets: set[int]):
+        """Yield lists of (target group, source group, cross terms by tau)
+        segments, about _CHUNK alignments each, for the groups in
+        ``targets`` over the unordered group pairs (lo[i], hi[i]), rank
+        lo[i] <= hi[i].
+
+        Each pair is one linear convolution, of reversed lo with hi, at the
+        smallest 5-smooth length >= n_lo + n_hi - 1: the pair kernel. Target
+        lo reads it at tau - 1 for its source's alignment tau, target hi at
+        n_lo + n_hi - 1 - tau. Pairs that share a length share each series'
+        spectrum, and an FFT batch holds up to 4 * _CHUNK values.
+        """
+        lo_w, w = self._lo, self.margin
+        n_lo, n_hi = self._n[lo], self._n[hi]
+        rungs = self._ladder[np.searchsorted(self._ladder, n_lo + n_hi - 1)]
+        segments, size = [], 0
+        for n_fft in np.unique(rungs):
+            n_fft = int(n_fft)
+            step = max(1, 4 * _CHUNK // n_fft)
+            at = np.flatnonzero(rungs == n_fft)
+            rows, row_of = np.unique(lo[at], return_inverse=True)
+            cols, col_of = np.unique(hi[at], return_inverse=True)
+            series = [self._values(g)[::-1] for g in rows] + [self._values(h) for h in cols]
+            spectra = np.empty((len(series), n_fft // 2 + 1), dtype=complex)
+            for first in range(0, len(series), step):
+                batch = np.zeros((len(series[first: first + step]), n_fft))
+                for row, values in enumerate(series[first: first + step]):
+                    batch[row, : values.size] = values
+                spectra[first: first + step] = np.fft.rfft(batch)
+            for first in range(0, at.size, step):
+                pick = slice(first, first + step)
+                conv = np.fft.irfft(spectra[rows.size + col_of[pick]] * spectra[row_of[pick]],
+                                    n_fft)
+                for row, i in enumerate(at[pick]):
+                    g, h, a, b = int(lo[i]), int(hi[i]), int(n_lo[i]), int(n_hi[i])
+                    if g in targets and self._source[h]:
+                        segments.append((g, h, conv[row, lo_w - 1: b - w]))
+                        size += segments[-1][2].size
+                    if h != g and h in targets and self._source[g]:
+                        segments.append((h, g, conv[row, b + w - 1: a + b - lo_w][::-1]))
+                        size += segments[-1][2].size
+                    if size >= _CHUNK:
+                        yield segments
+                        segments, size = [], 0
+        if segments:
+            yield segments
+
+    def _scan(self, lo: np.ndarray, hi: np.ndarray, targets: set[int]) -> dict[int, tuple]:
+        """The least (-r', source, tau) per target group in ``targets`` over
+        the unordered group pairs (lo[i], hi[i]), rank lo[i] <= hi[i]."""
+        moments = self._moments(targets)
+        best: dict[int, tuple] = {}
+        for segments in self._cross_terms(lo, hi, targets):
+            _merge(best, self._best_alignments(segments, moments))
+        return best
+
+    def _match(self, j: int, key: tuple | None) -> tuple[int, int, float, int] | None:
+        if key is None:
+            return None
+        neg_r, k, tau = key
+        return k, tau, -neg_r, min(tau, int(self._size[j]))
 
     def best_match(self, j: int) -> tuple[int, int, float, int] | None:
         """Best (source, tau, r', overlap) for target j, or None.
 
         Ties are resolved toward the smallest source index, then the
-        smallest tau.
+        smallest tau. Runs the pair kernel of ``best_matches`` on j's pairs.
         """
-        n_j = int(self._size[j])
-        if n_j == 0:
+        g = int(self._group[j])
+        if g < 0:
             return None
-        cross = self._cross_terms(j)
-        p0 = self._start[j] + j
-        pj = self._prefix[p0: p0 + n_j + 1]
-        pj_sq = self._prefix_sq[p0: p0 + n_j + 1]
-        # Target-side moments of the final m points, and whether m >= 2 and
-        # var_a passes the floor, by overlap m.
-        overlaps = np.arange(n_j + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu_a_of = (pj[n_j] - pj[n_j - overlaps]) / overlaps
-            var_a_of = (pj_sq[n_j] - pj_sq[n_j - overlaps]) / overlaps - mu_a_of * mu_a_of
-        valid_a_of = (overlaps >= 2) & (var_a_of > _SEGMENT_VAR_FLOOR)
-        best, best_r = -1, -np.inf
-        for at in range(0, cross.size, _CHUNK):
-            chunk = slice(at, at + _CHUNK)
-            m = np.minimum(self._tau[chunk], n_j)
-            end = self._end[chunk]
-            start = end - m
-            sum_b = self._prefix[end] - self._prefix[start]
-            sumsq_b = self._prefix_sq[end] - self._prefix_sq[start]
-            mu_a, var_a, valid = mu_a_of[m], var_a_of[m], valid_a_of[m]
-            # Cast once: every int-float operation below would cast again.
-            m = m.astype(np.float64)
-            mu_b = sum_b / m
-            var_b = sumsq_b / m - mu_b * mu_b
-            valid &= var_b > _SEGMENT_VAR_FLOOR
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = cross[chunk] - m * mu_a * mu_b
-                r /= m * np.sqrt(var_a * var_b)
-            np.clip(r, -1.0, 1.0, out=r)
-            r[~valid] = -np.inf
-            pos = int(np.argmax(r))
-            # Strict: an equal r' later in (k, tau) order does not win.
-            if r[pos] > best_r:
-                best, best_r = at + pos, r[pos]
-        if best < 0:
-            return None
-        source = np.searchsorted(self._align_start, best, side="right") - 1
-        tau = int(self._tau[best])
-        return int(self._sources[source]), tau, float(best_r), min(tau, n_j)
+        h = np.flatnonzero(self._source)
+        return self._match(j, self._scan(np.minimum(h, g), np.maximum(h, g), {g}).get(g))
+
+    def _tile(self, a: int, b: int) -> dict[int, tuple]:
+        """Scan the pairs of size-ordered blocks a <= b of _TILE groups each,
+        every unordered pair with a source once."""
+        rows = self._by_size[a * _TILE: (a + 1) * _TILE]
+        cols = self._by_size[b * _TILE: (b + 1) * _TILE]
+        x, y = np.triu_indices(rows.size) if a == b else np.indices((rows.size, cols.size))
+        g, h = rows[x.ravel()], cols[y.ravel()]
+        lo, hi = np.minimum(g, h), np.maximum(g, h)
+        keep = self._source[lo] | self._source[hi]
+        return self._scan(lo[keep], hi[keep], set(rows.tolist() + cols.tolist()))
+
+    def best_matches(self, threads: int = 1) -> list[tuple[int, int, float, int] | None]:
+        """``best_match(j)`` for every j, from one convolution per unordered
+        pair of groups. ``indexed_map`` runs squares of tiles, longest series
+        first so that the costliest start early, and the bests merge by
+        (r' desc, source asc, tau asc): neither the tiling nor the thread
+        count changes a bit of the result."""
+        blocks = -(-self._n.size // _TILE)
+        # Tiles per side of a square: at most 31 squares per side whatever
+        # the size, enough to balance the workers while the bests the
+        # squares return stay few (at most 2 * span * _TILE each).
+        span = max(1, blocks // 16)
+        squares = [(a, b) for b in reversed(range(0, blocks, span))
+                   for a in reversed(range(0, b + 1, span))]
+
+        def square(i: int) -> dict[int, tuple]:
+            a0, b0 = squares[i]
+            best: dict[int, tuple] = {}
+            for b in range(b0, min(b0 + span, blocks)):
+                for a in range(a0, min(a0 + span, b + 1)):
+                    _merge(best, self._tile(a, b).items())
+            return best
+
+        best: dict[int, tuple] = {}
+        for found in indexed_map(square, len(squares), threads):
+            _merge(best, found.items())
+        return [self._match(j, best.get(int(g))) for j, g in enumerate(self._group)]
+
+
+def _merge(best: dict[int, tuple], found: Iterable[tuple[int, tuple]]) -> None:
+    """Keep the least (-r', source, tau) per target group: the highest r',
+    ties to the smallest source, then the smallest tau."""
+    for g, key in found:
+        if g not in best or key < best[g]:
+            best[g] = key
 
 
 def find_global_matches(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRESHOLD,
@@ -251,8 +392,7 @@ def find_global_matches(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRES
     The exclusion list models manually discarded pairs (e.g. alignments
     driven by a single large jump in both series).
     """
-    engine = GlobalScanEngine(dataset, margin=margin)
-    results = indexed_map(engine.best_match, len(dataset), threads)
+    results = GlobalScanEngine(dataset, margin=margin).best_matches(threads)
     matches = []
     for ts, best in zip(dataset, results):
         if best is not None and best[2] >= threshold:

@@ -143,3 +143,9 @@ def make_multi_planted(rng, n_series=5, w=W):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240812)
+
+
+def match_bits(best):
+    """A ``best_match`` result with r' as its exact hex, for comparing two
+    scans bit for bit."""
+    return None if best is None else (*best[:2], float(best[2]).hex(), best[3])

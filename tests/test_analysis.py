@@ -23,7 +23,7 @@ from corrcast import (
 from corrcast import analysis
 from corrcast.analysis import _fast_lengths
 from corrcast.stats import pearson
-from conftest import bench_corpus, make_multi_planted, make_planted
+from conftest import bench_corpus, make_multi_planted, make_planted, match_bits
 
 W = 14
 
@@ -146,6 +146,80 @@ class TestFindGlobalMatches:
         top_k, top_tau, top_r = ks[0], taus[0], rs[0]
         assert (d.series[top_k].id, top_tau) == (by_target["J"].source_id, by_target["J"].tau)
         assert by_target["J"].r_prime == pytest.approx(top_r, abs=1e-9)
+
+
+def _ragged(rng):
+    """Walks of ragged lengths with a verbatim duplicate, a near copy, series
+    shorter than 2 * margin (targets only), a constant and a one-point series.
+    Two walks start with ramps, the shorter one first, and the longest
+    series is a ramp: its r' with them and with itself clips to 1.0 at many
+    alignments, ties across sources that only the tie rule breaks."""
+    values = [np.cumsum(_series(rng, int(rng.integers(30, 160)))) for _ in range(40)]
+    values[3] = np.concatenate([np.arange(30.0), 30.0 + np.cumsum(_series(rng, 10))])
+    values[5] = 0.5 * np.arange(170.0)
+    values[6] = np.concatenate([2.0 * np.arange(40.0), 80.0 + np.cumsum(_series(rng, 110))])
+    values.insert(4, values[1].copy())
+    values.append(1.5 * values[2][-35:] + 0.01 * _series(rng, 35))
+    values += [_series(rng, 20), _series(rng, 5), np.full(50, 3.0), np.ones(1)]
+    values.insert(0, values[5].copy())
+    return Dataset([TimeSeries(f"S{i}", v) for i, v in enumerate(values)])
+
+
+class TestAllPairsScan:
+    """``best_matches`` convolves each unordered pair of distinct series once
+    and feeds both targets; ``best_match(j)`` runs the same pair kernel."""
+
+    # At one group per tile the 43 groups make squares of 2 x 2 tiles, the
+    # last one cut short.
+    @pytest.mark.parametrize("tile", [1, 2, analysis._TILE])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_agrees_with_best_match_bit_for_bit(self, rng, monkeypatch, tile, threads):
+        monkeypatch.setattr(analysis, "_TILE", tile)
+        d = _ragged(rng)
+        engine = analysis.GlobalScanEngine(d)
+        single = [match_bits(engine.best_match(j)) for j in range(len(d))]
+        assert [match_bits(b) for b in engine.best_matches(threads)] == single
+        assert sum(b is not None for b in single) == len(d) - 2
+
+    def test_one_convolution_per_unordered_pair(self, rng, monkeypatch):
+        d = _ragged(rng)
+        engine = analysis.GlobalScanEngine(d)
+        rows = []
+
+        def counting_irfft(a, n):
+            rows.append(a.shape[0])
+            return irfft(a, n)
+
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+        engine.best_matches()
+        # 41 distinct sources (the duplicates add none) and two short targets.
+        sources, short = 41, 2
+        assert sum(rows) == sources * (sources + 1) // 2 + short * sources
+
+    def test_duplicate_copies_tie_exactly(self, rng):
+        """Three verbatim copies of B sit on both sides of A, whose tail
+        starts B while B's tail starts A (a T2 pair). Near-perfect matches
+        (r' just below 1, so no clip hides a rounding difference) must name
+        the first copy, for every target, at any thread count."""
+        for _ in range(4):
+            n, length = 200, 40
+            a, b = np.cumsum(_series(rng, n)), np.cumsum(_series(rng, n))
+            b[:length] = 1.5 * a[-length:] + 2.0 + 1e-3 * _series(rng, length)
+            a[:length] = 0.5 * b[-length:] - 1.0 + 1e-3 * _series(rng, length)
+            first = 0.3 * b[50:70] + 1e-3 * _series(rng, 20)
+            last = 2.0 * b[60:130] - 4.0 + 1e-3 * _series(rng, 70)
+            d = Dataset([TimeSeries("T_first", first), TimeSeries("B0", b),
+                         TimeSeries("A", a), TimeSeries("B1", b.copy()),
+                         TimeSeries("B2", b.copy()), TimeSeries("T_last", last)])
+            expected = {"T_first": ("B0", 70), "B0": ("A", 40), "A": ("B0", 40),
+                        "B1": ("A", 40), "B2": ("A", 40), "T_last": ("B0", 130)}
+            for threads in (1, 2):
+                matches = find_global_matches(d, threshold=0.99, threads=threads)
+                assert {m.target_id: (m.source_id, m.tau) for m in matches} == expected
+                assert all(m.r_prime < 1.0 for m in matches)
+                t2 = categorize(matches, d)["T2"]
+                assert {(m.target_id, m.source_id) for m in t2} == {("A", "B0"), ("B0", "A")}
 
 
 def _dated(ts_id, values, start):

@@ -1,4 +1,5 @@
-"""``GlobalScanEngine.best_match`` against a brute-force oracle.
+"""``GlobalScanEngine.best_match`` and ``best_matches`` against a brute-force
+oracle.
 
 For every target the oracle evaluates every (source, tau) alignment in
 (k, tau) order with ``global_cross_correlation`` (Pearson on the extracted
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 
 from corrcast import Dataset, TimeSeries, analysis, global_cross_correlation
 from corrcast.analysis import _SEGMENT_VAR_FLOOR, GlobalScanEngine
+from conftest import match_bits
 
 EPS = np.finfo(np.float64).eps
 KINDS = ("walk", "walk", "noise", "floor", "floor", "constant")
@@ -155,21 +157,27 @@ def datasets(draw):
     for _ in range(draw(st.integers(0, 2))):
         original = series[draw(st.integers(0, len(series) - 1))]
         series.insert(draw(st.integers(0, len(series))), original.copy())
-    # A small chunk splits the alignments, and every FFT batch, many ways, so
-    # the tie rule is exercised across chunks too.
+    # A small chunk splits the alignments, and every FFT batch, many ways, and
+    # a small tile splits the all-pairs scan, so the tie rule is exercised
+    # across batches and tiles too.
     chunk = draw(st.sampled_from([7, 64, analysis._CHUNK]))
-    return Dataset([TimeSeries(f"S{i}", v) for i, v in enumerate(series)]), margin, chunk
+    tile = draw(st.sampled_from([1, 2, analysis._TILE]))
+    return Dataset([TimeSeries(f"S{i}", v) for i, v in enumerate(series)]), margin, chunk, tile
 
 
 @settings(max_examples=60, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(datasets())
 def test_best_match_agrees_with_brute_force(case):
-    d, margin, chunk = case
+    d, margin, chunk, tile = case
     engine = GlobalScanEngine(d, margin=margin)
-    default, analysis._CHUNK = analysis._CHUNK, chunk
+    default = analysis._CHUNK, analysis._TILE
+    analysis._CHUNK, analysis._TILE = chunk, tile
     try:
+        all_pairs = engine.best_matches()
         for j, ts in enumerate(d):
-            assert_matches_oracle(engine.best_match(j), oracle(d, j, margin), len(ts))
+            best = engine.best_match(j)
+            assert_matches_oracle(best, oracle(d, j, margin), len(ts))
+            assert match_bits(all_pairs[j]) == match_bits(best)
     finally:
-        analysis._CHUNK = default
+        analysis._CHUNK, analysis._TILE = default

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from corrcast import Dataset, TimeSeries, load_m4_values, write_forecast_csv, write_values_csv
+from corrcast import cli
 from corrcast.cli import PARAMS, _run_values, build_parser, main
 from conftest import make_multi_planted, make_planted
 
@@ -547,3 +548,28 @@ class TestOptionPin:
         sweep = parse(["sweep", "--data", "-", "--out", "-", "--test", "-"])
         assert (sweep.r_grid, sweep.std_grid) == ("0.9999,0.999,0.99", "2,2.5,3,none")
         assert parse(["audit", "--data", "-", "--out", "-"]).bin_width == 100
+
+
+class TestJsonWriter:
+    """``_write_json`` writes the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
+
+    PAYLOADS = [
+        {"a": 1.5, "b": None, "c": float("nan"), "d": float("inf"), "e": -float("inf")},
+        {"per_series": {"D1": {"mase": 0.25, "smape": 1e-300}, "Dé": {"mase": None},
+                        "日本": {"smape": -0.0}, "q\"\\\n": {}},
+         "aggregate": {"series": 3, "flag": True, "off": False, "nested": {"x": {"y": {}}}}},
+        {"z": [], "y": [1, 2.5, None, {"k": float("nan")}], "x": "text\twith breaks",
+         "w": np.float64(2.5), "v": {1: "int key"}, "u": {"b": 1, "a": {}}},
+        {"categories": {"T1": 0, "T2": 4}, "future_use_fraction": None, "threshold": 0.995},
+    ]
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_same_bytes_as_json(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        cli._write_json(payload, path, no_timestamp=True)
+        assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    def test_timestamp_added(self, tmp_path):
+        path = tmp_path / "out.json"
+        cli._write_json({"a": 1.0}, path, no_timestamp=False)
+        assert set(json.loads(path.read_text())) == {"a", "timestamp"}
