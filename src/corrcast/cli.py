@@ -21,11 +21,13 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import analysis, ensemble, metrics
 from ._parallel import check_threads
 from .correlator import (
     CorrelatorParams,
-    check_past_only,
+    check_dated,
     check_sweep,
     run_correlator,
     sweep_correlator,
@@ -208,8 +210,8 @@ def _load_dataset(args) -> Dataset:
 
 def _check_past_only(dataset: Dataset, params: CorrelatorParams | None) -> None:
     """``past_only`` without a start date for every series is a config error."""
-    if params is not None:
-        _usage(check_past_only, dataset, params)
+    if params is not None and params.past_only:
+        _usage(check_dated, dataset, "past_only")
 
 
 def _out_dir(args) -> Path:
@@ -372,8 +374,7 @@ def cmd_sweep(args) -> int:
         for (r, s), matches in zip(combos, results):
             row = [repr(r), "none" if s is None else repr(s), len(matches),
                    f"{100.0 * len(matches) / max(len(dataset), 1):.4f}"]
-            fcs = {sid: ensemble.clip_negative(Forecast(sid, m.forecast[: len(test[sid])],
-                                                        "Correlator"))
+            fcs = {sid: np.maximum(m.forecast[: len(test[sid])], 0.0)
                    for sid, m in matches.items() if sid in test}
             if fcs:
                 report = _score(fcs, split, args.m)
@@ -393,13 +394,11 @@ def cmd_audit(args) -> int:
     dataset = _load_dataset(args)
     exclusions = analysis.load_exclusions_csv(args.exclusions) if args.exclusions else None
     _check_past_only(dataset, params)
+    if args.future_use:
+        _usage(check_dated, dataset, "--future-use")
 
-    dated = any(ts.start_date is not None for ts in dataset)
-    if args.future_use and not dated:
-        raise ConfigError("--future-use needs start dates, and no series has one; "
-                          "supply an --info file with start dates")
     correlator_matches = None
-    if args.future_use is not False and dated:
+    if args.future_use is not False and any(ts.start_date is not None for ts in dataset):
         correlator_matches = run_correlator(dataset, params, **calls)
 
     report = analysis.build_leakage_report(
@@ -509,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclusions", help="CSV of (target_id, source_id) pairs to discard")
     p.add_argument("--future-use", action=argparse.BooleanOptionalAction, default=None,
                    help="also run the forecaster to measure future-data use "
-                        "(on when dates are available)")
+                        "(on when dates are available; given, every series needs one)")
 
     command("validate", cmd_validate, "holdout split, forecast, and evaluate")
     for name in ("evaluate", "sweep", "validate"):

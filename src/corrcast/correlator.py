@@ -48,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import indexed_map
 from .dataset import Dataset
-from .stats import _normalized_query, _std_floor, _window_r, rolling_stats
+from .stats import _std_floor, _window_r, rolling_stats
 
 # 1-based file position of the last series the bug1 submission variant
 # still processed.
@@ -83,7 +83,7 @@ class CorrelatorParams:
             raise ValueError(f"window length must be >= 2, got {self.w}")
         if not 0.0 < self.r_threshold <= 1.0:
             raise ValueError(f"r_threshold must be in (0, 1], got {self.r_threshold}")
-        if self.std_ratio is not None and self.std_ratio <= 0.0:
+        if self.std_ratio is not None and not self.std_ratio > 0.0:
             raise ValueError(f"std_ratio must be positive, got {self.std_ratio}")
 
 
@@ -113,31 +113,17 @@ def affine_map(source_values, source_mean: float, source_std: float,
     return (source_values - source_mean) * (target_std / source_std) + target_mean
 
 
-def match_uses_future(source_start: date | None, tau: int, w: int,
-                      target_start: date | None, target_len: int) -> bool | None:
-    """Whether a match consumes any value dated on/after the target's first
-    forecast date. The consumed span is the matched window plus its
-    continuation, positions tau-w .. tau+w-1 (0-based) of the source.
-    Returns None when either start date is missing."""
-    if source_start is None or target_start is None:
-        return None
-    last_consumed = source_start.toordinal() + (tau + w - 1)
-    first_forecast = target_start.toordinal() + target_len
-    return last_consumed >= first_forecast
-
-
-def check_past_only(dataset: Dataset, params: CorrelatorParams) -> None:
-    """Raise ValueError when ``past_only`` is set but some series has no
-    start date: the future-use test needs both dates of every pair, and
-    without them it could not refuse anything."""
-    if not params.past_only:
-        return
+def check_dated(dataset: Dataset, mode: str) -> None:
+    """Raise ValueError naming ``mode`` when some series has no start date:
+    the future-use test needs both dates of every pair, so a mode that acts
+    on it could not be honoured."""
     undated = [ts.id for ts in dataset if ts.start_date is None]
     if undated:
         first = ", ".join(repr(sid) for sid in undated[:5])
         raise ValueError(
-            f"past_only needs a start date for every series, but {len(undated)} of "
-            f"{len(dataset)} have none (first: {first}); supply an info file with start dates"
+            f"{mode} needs a start date for every series, but {len(undated)} of "
+            f"{len(dataset)} have none (first: {first}); supply an info file (--info) "
+            "with start dates"
         )
 
 
@@ -168,7 +154,8 @@ class CorrelationEngine:
     _BLOCK = 2**16
 
     def __init__(self, dataset: Dataset, params: CorrelatorParams):
-        check_past_only(dataset, params)
+        if params.past_only:
+            check_dated(dataset, "past_only")
         self.dataset = dataset
         self.params = params
         w = params.w
@@ -240,13 +227,13 @@ class CorrelationEngine:
         words = packed.view("<i4")
         self._pos = words[0::2].copy()
         self._keys = words[1::2].copy()
-        # Day ordinal of each series' first value; past_only has checked
-        # that every series is dated.
-        self.start_ords = (np.array([ts.start_date.toordinal() for ts in dataset], dtype=np.int64)
-                           if params.past_only else None)
+        # Day ordinal of each series' first value, NaN where it is undated.
+        self.start_ords = np.array([np.nan if ts.start_date is None else ts.start_date.toordinal()
+                                    for ts in dataset], dtype=np.float64)
 
     def _tail_stats(self, j: int) -> tuple[np.ndarray, float, float] | None:
-        """Target's final window with its mean/std; None when degenerate."""
+        """Target's final window normalised to zero mean and unit std (the
+        scan's query), with the window's mean/std; None when degenerate."""
         ts = self.dataset.series[j]
         w = self.params.w
         if len(ts) < w:
@@ -257,7 +244,8 @@ class CorrelationEngine:
         std = np.sqrt(np.dot(dev, dev) / w)
         if std <= _std_floor(mean):
             return None
-        return tail, float(mean), float(std)
+        dev -= dev.mean()  # centred twice, to kill the fp residual
+        return dev / np.sqrt(np.dot(dev, dev) / w), float(mean), float(std)
 
     def _scan(self, j: int, tail, r_threshold: float):
         """All candidates with r >= threshold over valid non-terminal windows,
@@ -269,7 +257,7 @@ class CorrelationEngine:
         kernel, so they give the same arrays.
         """
         w = self.params.w
-        qhat = _normalized_query(tail[0])
+        qhat = tail[0]
         # |qhat.u - what.u| <= |qhat - what| = sqrt(2w(1 - r)) for unit zero-sum u;
         # the kernel keeps r >= t only if the exact r >= t - r_slack.
         radius = np.sqrt(2 * w * (1.0 - r_threshold + self._r_slack)) + self._key_slack
@@ -326,8 +314,9 @@ class CorrelationEngine:
         order = np.lexsort((taus, ks, -rs))
         return ks[order], taus[order], rs[order]
 
-    def _walk(self, j: int, tail, cands, r_threshold: float, std_ratio: float | None):
-        """Best-ranked candidate that passes every acceptance condition.
+    def _walk(self, j: int, tail, cands, future, r_threshold: float, std_ratio: float | None):
+        """Best-ranked candidate that passes every acceptance condition;
+        ``future`` is the sweep's future-use mask over ``cands``.
 
         Walking candidates in descending-r order and accepting the first one
         that satisfies the per-candidate conditions selects the same match
@@ -342,9 +331,7 @@ class CorrelationEngine:
 
         keep = rs >= r_threshold
         if self.params.past_only:
-            # Skip candidates whose consumed span reaches the forecast dates.
-            first_forecast = self.start_ords[j] + len(target)
-            keep &= ~(self.start_ords[ks] + (taus + w - 1) >= first_forecast)
+            keep &= ~future
         if std_ratio is not None:
             # The mapped forecast's std is the affine slope times the
             # continuation's std, both already in the rolling stats.
@@ -362,17 +349,17 @@ class CorrelationEngine:
         forecast = affine_map(source.values[tau : tau + w],
                               float(source.values[tau - w : tau].mean()),
                               float(self._std[self.offsets[k] + tau - w]), tail_mean, tail_std)
-        dates = None
+        dates = used_future = None
         if source.start_date is not None:
             dates = (source.date_of(tau - w), source.date_of(tau + w - 1))
+            used_future = None if future is None else bool(future[pick])
         return CorrelatorMatch(
             target_id=target.id,
             source_id=source.id,
             tau=tau,
             r=float(rs[pick]),
             forecast=forecast,
-            used_future=match_uses_future(source.start_date, tau, w,
-                                          target.start_date, len(target)),
+            used_future=used_future,
             source_date_range=dates,
         )
 
@@ -388,7 +375,15 @@ class CorrelationEngine:
         if tail is None:
             return [None] * len(combos)
         cands = self._scan(j, tail, min(r for r, _ in combos))
-        return [self._walk(j, tail, cands, r, s) for r, s in combos]
+        # The future-use rule, once per target (None if it is undated): the
+        # consumed span, window and continuation, reaches the target's first
+        # forecast date. An undated source's NaN ordinal compares False.
+        future = None
+        if not np.isnan(self.start_ords[j]):
+            ks, taus = cands[:2]
+            future = (self.start_ords[ks] + (taus + self.params.w - 1)
+                      >= self.start_ords[j] + len(self.dataset.series[j]))
+        return [self._walk(j, tail, cands, future, r, s) for r, s in combos]
 
 
 def run_correlator(dataset: Dataset, params: CorrelatorParams,

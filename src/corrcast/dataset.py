@@ -322,21 +322,22 @@ def write_values_csv(dataset: Dataset, path: str | Path) -> None:
     Values are printed with full round-trip precision, so a load/write/load
     cycle is bit-identical.
     """
-    width = max((len(ts) for ts in dataset), default=0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"V{i}" for i in range(1, width + 1)])
-        for ts in dataset:
-            writer.writerow([ts.id] + [repr(float(v)) for v in ts.values])
+    _write_ragged({ts.id: ts.values for ts in dataset}, "V", path)
 
 
 def write_forecast_csv(forecasts: Mapping[str, np.ndarray], path: str | Path) -> None:
     """Write forecasts as ``id,F1,...,Fh`` rows with round-trip precision."""
-    width = max((len(v) for v in forecasts.values()), default=0)
+    _write_ragged(forecasts, "F", path)
+
+
+def _write_ragged(rows: Mapping[str, np.ndarray], letter: str, path: str | Path) -> None:
+    """An ``id,<letter>1,...`` header as wide as the longest row, then one
+    row per id, values with round-trip precision."""
+    width = max(map(len, rows.values()), default=0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"F{i}" for i in range(1, width + 1)])
-        for sid, vals in forecasts.items():
+        writer.writerow(["id"] + [f"{letter}{i}" for i in range(1, width + 1)])
+        for sid, vals in rows.items():
             writer.writerow([sid] + [repr(float(v)) for v in np.asarray(vals).ravel()])
 
 

@@ -23,17 +23,6 @@ import numpy as np
 
 from .dataset import HoldoutSplit
 
-# Seasonal-naive lag per frequency group, per the M4 evaluation setup.
-DEFAULT_SEASONALITY = {
-    "Hourly": 24,
-    "Daily": 1,
-    "Weekly": 1,
-    "Monthly": 12,
-    "Quarterly": 4,
-    "Yearly": 1,
-}
-
-
 class UndefinedMetricError(ValueError):
     """MASE is undefined: the in-sample seasonal-naive error is zero."""
 
@@ -51,7 +40,7 @@ def _smape_rows(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray:
     """sMAPE of each row of two equal-shape 2-D arrays."""
     denom = np.abs(actual) + np.abs(forecast)
     terms = np.zeros_like(denom)
-    nz = denom > 0.0
+    nz = denom != 0.0
     terms[nz] = np.abs(actual[nz] - forecast[nz]) / denom[nz]
     return 200.0 * terms.mean(axis=1)
 
@@ -152,12 +141,22 @@ def owa_report(
         by_shape.setdefault(actual.shape, []).append(i)
         rows.append((actual, fc, bench))
 
+    # C-contiguous (actual, forecast, benchmark) stacks, one row per series.
+    stacks = [(idx, *(np.array(column).reshape(len(idx), math.prod(shape))
+                      for column in zip(*(rows[i] for i in idx))))
+              for shape, idx in by_shape.items()]
+    # A non-finite value has no score: the first such series in id order
+    # raises, checked on the stacks before any arithmetic.
+    finite = np.empty(n, dtype=bool)
+    for idx, *arrays in stacks:
+        finite[idx] = np.logical_and.reduce([np.isfinite(a).all(axis=1) for a in arrays])
+    if not finite.all():
+        sid = ids[int(np.argmin(finite))]
+        raise ValueError(f"series {sid!r} has non-finite forecast, benchmark or actual values")
+
     smape_f, smape_b = np.empty(n), np.empty(n)
     mae_f, mae_b = np.empty(n), np.empty(n)
-    for shape, idx in by_shape.items():
-        # C-contiguous stacks, one row per series.
-        actual, fc, bench = (np.array(column).reshape(len(idx), math.prod(shape))
-                             for column in zip(*(rows[i] for i in idx)))
+    for idx, actual, fc, bench in stacks:
         smape_f[idx] = _smape_rows(actual, fc)
         smape_b[idx] = _smape_rows(actual, bench)
         mae_f[idx] = np.abs(actual - fc).mean(axis=1)

@@ -87,16 +87,6 @@ def rolling_stats(series, w: int) -> RollingStats:
     return RollingStats(w=w, mean=mean, std=std, valid=valid)
 
 
-def _normalized_query(query: np.ndarray) -> np.ndarray:
-    """Center (twice, to kill the fp residual) and scale a query to unit std."""
-    q = query - query.mean()
-    q -= q.mean()
-    std = np.sqrt(np.dot(q, q) / q.size)
-    if std <= _std_floor(query.mean()):
-        raise ConstantInputError("sliding scan undefined: constant query")
-    return q / std
-
-
 def _window_r(windows: np.ndarray, std: np.ndarray, qhat: np.ndarray) -> np.ndarray:
     """r of every row of ``windows`` (globally centered values, a view or a
     gathered copy) against a normalized query: sum_i qhat[i] * windows[:, i]

@@ -157,6 +157,25 @@ class TestEvaluateCommand:
         assert report["aggregate"]["owa"] == 1.0
         assert "timestamp" not in report
 
+    @pytest.mark.parametrize("where", ["--forecast", "--benchmark", "--test"])
+    def test_non_finite_value_exits_1(self, tmp_path, rng, capsys, where):
+        # A NaN would otherwise score as a perfect forecast and write bare
+        # NaN tokens into report.json.
+        d = Dataset([TimeSeries(f"A{i}", np.abs(rng.normal(5, 1, 40))) for i in range(3)])
+        data = _write_dataset(d, tmp_path / "train.csv")
+        files = {}
+        for flag in ("--forecast", "--benchmark", "--test"):
+            vals = {ts.id: np.abs(rng.normal(5, 1, 5)) for ts in d}
+            if flag == where:
+                vals["A1"][2] = np.nan
+            files[flag] = tmp_path / f"{flag[2:]}.csv"
+            write_forecast_csv(vals, files[flag])
+        out = tmp_path / "out"
+        argv = ["evaluate", "--data", data, "--out", str(out)]
+        assert main(argv + [str(x) for kv in files.items() for x in kv]) == 1
+        assert "series 'A1' has non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_id_mismatch_exits_nonzero(self, tmp_path, rng, capsys):
         d = Dataset([TimeSeries("A", np.abs(rng.normal(5, 1, 40)))])
         data = _write_dataset(d, tmp_path / "train.csv")
@@ -268,6 +287,25 @@ class TestAuditCommand:
         assert rc == 2
         assert "--info" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_future_use_half_dated_exits_2(self, tmp_path, rng, capsys):
+        # Given explicitly, the fraction needs every series dated, as
+        # past_only does; without the flag a half-dated file still runs.
+        d, data, _ = self._audit_dataset(rng, tmp_path, with_dates=False)
+        half = Dataset(TimeSeries(ts.id, ts.values, start_date=None if ts.id == "A"
+                                  else date(2000, 1, 1)) for ts in d)
+        info = _write_info_per_series(half, tmp_path / "half.csv")
+        out = tmp_path / "audit_fu"
+        argv = ["audit", "--data", data, "--info", info, "--out", str(out),
+                "--audit-threshold", "0.99", "--no-timestamp"]
+        assert main([*argv, "--future-use"]) == 2
+        err = capsys.readouterr().err
+        assert "--future-use needs a start date" in err and "1 of 3 have none" in err
+        assert "--info" in err
+        assert not out.exists()
+        with pytest.warns(UserWarning, match="1 of 2 matched pairs"):
+            assert main(argv) == 0
+        assert json.loads((out / "summary.json").read_text())["future_use_fraction"] is None
 
     def test_exclusions_reduce_matches(self, tmp_path, rng):
         _, data, info = self._audit_dataset(rng, tmp_path, with_dates=True)
@@ -381,6 +419,7 @@ class TestInvalidValues:
         "r_threshold": (["forecast", "--r-threshold", "1.5"], "r_threshold"),
         "std_ratio_text": (["forecast", "--std-ratio", "abc"], "--std-ratio"),
         "std_ratio_negative": (["validate", "--std-ratio", "-1"], "std_ratio"),
+        "std_ratio_nan": (["forecast", "--std-ratio", "nan"], "std_ratio"),
         "horizon": (["forecast", "--no-correlator", "--horizon", "0"], "horizon"),
         "window_no_correlator": (["forecast", "--no-correlator", "--window", "1"], "window"),
         "validate_horizon": (["validate", "--horizon", "0"], "horizon"),
@@ -388,6 +427,7 @@ class TestInvalidValues:
         "r_grid_text": (["sweep", "--r-grid", "abc"], "--r-grid"),
         "r_grid_range": (["sweep", "--r-grid", "1.5"], "r_threshold"),
         "std_grid_negative": (["sweep", "--std-grid", "-1"], "std_ratio"),
+        "std_grid_nan": (["sweep", "--std-grid", "1.5,nan"], "std_ratio"),
         "bin_width": (["audit", "--bin-width", "0"], "bin width"),
         "audit_threshold": (["audit", "--audit-threshold", "1.5"], "audit threshold"),
         **{f"threads_{cmd}": ([cmd, "--threads", value], "--threads")
@@ -421,6 +461,16 @@ class TestInvalidValues:
                 *extra.get(command, [])]
         assert main(argv) == 2
         assert "threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_std_ratio_nan_config_exits_2(self, toy_env, capsys):
+        # NaN fails every comparison, so it would refuse every match.
+        data, _, tmp = toy_env
+        cfg = tmp / "run.cfg"
+        cfg.write_text("std_ratio = nan\n")
+        out = tmp / "out"
+        assert main(["forecast", "--data", data, "--out", str(out), "--config", str(cfg)]) == 2
+        assert "std_ratio must be positive, got nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_test_longer_than_window_exits_2(self, toy_env, capsys, rng):

@@ -1,6 +1,6 @@
 """Window-matching forecaster tests built around planted synthetic matches."""
 
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -228,6 +228,65 @@ class TestDates:
         d, _ = make_planted(rng)
         match = CorrelationEngine(d, CorrelatorParams()).forecast(0)
         assert match is not None and match.used_future is None
+
+    # Source start, relative to the day on which the plant's consumed span
+    # would end on the target's first forecast date: -1 ends it the day
+    # before (past), 0 on that date (future); None leaves that side undated.
+    SHIFTS = [(0, -1), (0, 0), (-700, -1), (700, 0), (0, None), (None, 0), (None, None)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("target_day, shift", SHIFTS)
+    def test_used_future_matches_date_oracle(self, seed, target_day, shift):
+        rng = np.random.default_rng(seed)
+        d, plant = make_planted(rng, n_decoys=3)
+        n_target = len(d["T1"])
+        target_start = date(2000, 1, 1) + timedelta(days=int(rng.integers(-400, 400)))
+        boundary = target_start + timedelta(days=n_target - (plant.tau + W - 1))
+        starts = {"T1": None if target_day is None else target_start + timedelta(days=target_day),
+                  "S1": None if shift is None else boundary + timedelta(days=shift)}
+        # Decoys get random dates or none, so other pairs are one-sided too.
+        for ts in d.series[2:]:
+            starts[ts.id] = (None if rng.random() < 0.3
+                             else target_start + timedelta(days=int(rng.integers(-300, 300))))
+        d = Dataset(TimeSeries(ts.id, ts.values, start_date=starts[ts.id]) for ts in d)
+        match = CorrelationEngine(d, CorrelatorParams()).forecast(0)
+        assert match is not None and (match.source_id, match.tau) == ("S1", plant.tau)
+        assert match.used_future == _uses_future_oracle(d, match)
+        if target_day == 0 and shift is not None:
+            assert match.used_future is (shift >= 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_past_only_accepts_no_future_match(self, seed):
+        rng = np.random.default_rng(seed)
+        d, _ = make_multi_planted(rng, n_series=10)
+        # Start dates close enough that some plants are future, some past.
+        n = max(map(len, d))
+        d = Dataset(TimeSeries(ts.id, ts.values, start_date=date(2000, 1, 1)
+                               + timedelta(days=int(rng.integers(-n, n)))) for ts in d)
+        combos = [(0.9999, 2.5), (0.999, None), (0.99, 3.0)]
+        free = sweep_correlator(d, combos, CorrelatorParams())
+        past = sweep_correlator(d, combos, CorrelatorParams(past_only=True))
+        flags = [m.used_future for matches in free for m in matches.values()]
+        assert True in flags and False in flags
+        for matches in free + past:
+            for m in matches.values():
+                assert m.used_future == _uses_future_oracle(d, m)
+        for free_c, past_c in zip(free, past):
+            assert not any(m.used_future for m in past_c.values())
+            # A match that was already past stays the accepted one.
+            for sid, m in free_c.items():
+                if m.used_future is False:
+                    assert (past_c[sid].source_id, past_c[sid].tau) == (m.source_id, m.tau)
+
+
+def _uses_future_oracle(d, match):
+    """Whether the match's consumed span, window and continuation, reaches
+    the target's first forecast date, from the calendar dates; None when
+    either side is undated."""
+    target, source = d[match.target_id], d[match.source_id]
+    if target.start_date is None or source.start_date is None:
+        return None
+    return source.date_of(match.tau + W - 1) >= target.date_of(len(target))
 
 
 class TestRunCorrelator:

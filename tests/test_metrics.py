@@ -50,6 +50,11 @@ class TestSmape:
         assert smape([0.0], [0.0]) == 0.0
         assert smape([0.0, 5.0], [0.0, 5.0]) == 0.0
 
+    def test_nan_is_not_a_perfect_score(self):
+        # A NaN denominator is not the both-zero case.
+        assert np.isnan(smape([1.0], [np.nan]))
+        assert np.isnan(smape([np.nan, 1.0], [np.nan, 1.0]))
+
     def test_symmetry(self, rng):
         a = rng.normal(0, 5, 20)
         b = rng.normal(0, 5, 20)
@@ -128,6 +133,21 @@ class TestOwaReport:
         test = {"A": rng.normal(0, 1, 3)}
         with pytest.raises(ValueError, match="A"):
             owa_report({"A": np.zeros(3)}, {}, _split_from(train, test))
+
+    @pytest.mark.parametrize("where", ["forecast", "benchmark", "actual"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, rng, where, value):
+        # B (horizon 3) and D (horizon 5) are broken; B comes first in id
+        # order although its horizon group is scored second.
+        hs = {"A": 5, "B": 3, "C": 5, "D": 5}
+        train = {sid: rng.normal(0, 1, 20) for sid in hs}
+        values = {part: {sid: rng.normal(0, 1, h) for sid, h in hs.items()}
+                  for part in ("forecast", "benchmark", "actual")}
+        for sid in ("B", "D"):
+            values[where][sid][1] = value
+        split = _split_from(train, values["actual"])
+        with pytest.raises(ValueError, match="series 'B' has non-finite"):
+            owa_report(values["forecast"], values["benchmark"], split)
 
 
 # --- owa_report against a per-series reference -------------------------------
