@@ -304,12 +304,12 @@ def cmd_forecast(args) -> int:
     calls = _fields(values, None)
     dataset = _load_dataset(args)
     _check_past_only(dataset, cfg.correlator)
-    out = _out_dir(args)
 
     matches = None
     if cfg.correlator is not None:
         matches = run_correlator(dataset, cfg.correlator, **calls)
     forecasts = ensemble.pipeline_forecast(dataset, cfg, precomputed_matches=matches, **calls)
+    out = _out_dir(args)
     _write_forecasts(forecasts, out)
     if matches is not None:
         write_matches_csv(matches, out / "correlator_matches.csv")
@@ -366,23 +366,24 @@ def cmd_sweep(args) -> int:
 
     results = sweep_correlator(dataset, combos, base, **_fields(values, None))
     split = HoldoutSplit(train=dataset, test=test)
+    rows = []
+    for (r, s), matches in zip(combos, results):
+        row = [repr(r), "none" if s is None else repr(s), len(matches),
+               f"{100.0 * len(matches) / max(len(dataset), 1):.4f}"]
+        fcs = {sid: np.maximum(m.forecast[: len(test[sid])], 0.0)
+               for sid, m in matches.items() if sid in test}
+        if fcs:
+            report = _score(fcs, split, args.m)
+            row += [repr(report.aggregate_mase), repr(report.aggregate_smape), repr(report.owa)]
+        else:
+            row += ["", "", ""]
+        rows.append(row)
     out = _out_dir(args)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r_threshold", "std_ratio", "used_count", "used_pct",
                          "mase", "smape", "owa"])
-        for (r, s), matches in zip(combos, results):
-            row = [repr(r), "none" if s is None else repr(s), len(matches),
-                   f"{100.0 * len(matches) / max(len(dataset), 1):.4f}"]
-            fcs = {sid: np.maximum(m.forecast[: len(test[sid])], 0.0)
-                   for sid, m in matches.items() if sid in test}
-            if fcs:
-                report = _score(fcs, split, args.m)
-                row += [repr(report.aggregate_mase), repr(report.aggregate_smape),
-                        repr(report.owa)]
-            else:
-                row += ["", "", ""]
-            writer.writerow(row)
+        writer.writerows(rows)
     return 0
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -99,7 +98,6 @@ class CorrelatorMatch:
     r: float
     forecast: np.ndarray
     used_future: bool | None = None
-    source_date_range: tuple[date, date] | None = None
 
 
 def affine_map(source_values, source_mean: float, source_std: float,
@@ -349,10 +347,9 @@ class CorrelationEngine:
         forecast = affine_map(source.values[tau : tau + w],
                               float(source.values[tau - w : tau].mean()),
                               float(self._std[self.offsets[k] + tau - w]), tail_mean, tail_std)
-        dates = used_future = None
-        if source.start_date is not None:
-            dates = (source.date_of(tau - w), source.date_of(tau + w - 1))
-            used_future = None if future is None else bool(future[pick])
+        used_future = None
+        if source.start_date is not None and future is not None:
+            used_future = bool(future[pick])
         return CorrelatorMatch(
             target_id=target.id,
             source_id=source.id,
@@ -360,7 +357,6 @@ class CorrelationEngine:
             r=float(rs[pick]),
             forecast=forecast,
             used_future=used_future,
-            source_date_range=dates,
         )
 
     def forecast(self, j: int) -> CorrelatorMatch | None:

@@ -118,7 +118,6 @@ class InfoRecord:
     """Per-series metadata from an M4 info file."""
 
     frequency_label: str
-    period: int | None
     horizon: int
     start_date: date | None
 
@@ -140,27 +139,30 @@ def _row_values(cells: list[str]) -> np.ndarray:
     return np.array(cells[:end], dtype=np.float64)
 
 
-def _bad_cell(sid: str, cells: list[str]) -> LoadError:
+def _bad_cell(path: str | Path, sid: str, cells: list[str]) -> LoadError:
     """The error naming the first malformed or non-finite cell of a row."""
     for i, cell in enumerate(cells):
         try:
             v = float(cell)
         except ValueError:
-            return LoadError(f"malformed value in row {sid!r}, column {i + 2}: {cell!r}")
+            return LoadError(f"{path}: malformed value in row {sid!r}, column {i + 2}: {cell!r}")
         if not math.isfinite(v):
-            return LoadError(f"non-finite value in row {sid!r}, column {i + 2}: {cell!r}")
-    return LoadError(f"malformed values in row {sid!r}")
+            return LoadError(f"{path}: non-finite value in row {sid!r}, column {i + 2}: {cell!r}")
+    return LoadError(f"{path}: malformed values in row {sid!r}")
 
 
-def load_m4_values(path: str | Path) -> Dataset:
-    """Load a ragged M4 values CSV into a Dataset.
+def read_forecast_csv(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a ragged M4-layout CSV into an ordered id -> float64 values map.
 
-    The first row is a header and is skipped. Each subsequent row is a
-    series id followed by decimal values; trailing empty cells are dropped,
-    but an empty or non-numeric cell in the middle of a row is an error
-    (column numbers in error messages are 1-based and count the id cell).
+    Values, test, forecast, benchmark and external-member files all share
+    this layout and these rules. The first row is a header and is skipped,
+    as are blank lines. Each other row is a series id followed by decimal
+    values; trailing empty cells are dropped. An empty id, an empty interior
+    cell, a malformed or non-finite cell, a row with no values and a repeated
+    id are errors (column numbers in error messages are 1-based and count the
+    id cell).
     """
-    series = []
+    out: dict[str, np.ndarray] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -173,16 +175,28 @@ def load_m4_values(path: str | Path) -> Dataset:
             sid = row[0].strip()
             if not sid:
                 raise LoadError(f"{path}: row {reader.line_num} has an empty series id")
+            if sid in out:
+                raise LoadError(f"{path}: duplicate series id {sid!r}")
             try:
                 values = _row_values(row[1:])
             except ValueError:
                 values = None
             if values is None or not np.isfinite(values).all():
-                raise _bad_cell(sid, row[1:])
+                raise _bad_cell(path, sid, row[1:])
             if values.size == 0:
-                raise LoadError(f"series {sid!r} has no values")
-            series.append(TimeSeries(id=sid, values=values))
-    return Dataset(series)
+                raise LoadError(f"{path}: series {sid!r} has no values")
+            out[sid] = values
+    return out
+
+
+def load_m4_values(path: str | Path) -> Dataset:
+    """Load a ragged M4 values CSV into a Dataset (see ``read_forecast_csv``).
+
+    Each row is dropped once its series holds a copy, so the values are
+    not held twice.
+    """
+    rows = read_forecast_csv(path)
+    return Dataset(TimeSeries(id=sid, values=rows.pop(sid)) for sid in list(rows))
 
 
 def _parse_start_date(text: str) -> date | None:
@@ -201,9 +215,9 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
     """Parse an M4 info CSV into a map id -> InfoRecord.
 
     Columns are located by header name: the series id column contains
-    "id", the seasonal-pattern label column is "SP", the seasonal period
-    column is "Frequency", plus "Horizon" and "StartingDate". Unparseable
-    dates produce a warning and are treated as absent.
+    "id", the seasonal-pattern label column is "SP", plus "Horizon" and
+    "StartingDate"; other columns ("Frequency" among them) are not read.
+    Unparseable dates produce a warning and are treated as absent.
     """
     records: dict[str, InfoRecord] = {}
     with open(path, newline="") as fh:
@@ -223,7 +237,6 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
 
         id_col = find("m4id", "id")
         sp_col = find("sp", "frequency_label", required=False)
-        period_col = find("frequency", "period", required=False)
         horizon_col = find("horizon")
         date_col = find("startingdate", "starting_date", "start_date", required=False)
 
@@ -234,9 +247,6 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
             label = row[sp_col].strip() if sp_col is not None and sp_col < len(row) else ""
             if label and label not in FREQUENCY_LABELS:
                 raise LoadError(f"{path}: unknown frequency label {label!r} for {sid!r}")
-            period = None
-            if period_col is not None and period_col < len(row) and row[period_col].strip():
-                period = int(float(row[period_col]))
             try:
                 horizon = int(float(row[horizon_col]))
             except (ValueError, IndexError):
@@ -251,7 +261,6 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
                     )
             records[sid] = InfoRecord(
                 frequency_label=label or "Daily",
-                period=period,
                 horizon=horizon,
                 start_date=start,
             )
@@ -339,25 +348,3 @@ def _write_ragged(rows: Mapping[str, np.ndarray], letter: str, path: str | Path)
         writer.writerow(["id"] + [f"{letter}{i}" for i in range(1, width + 1)])
         for sid, vals in rows.items():
             writer.writerow([sid] + [repr(float(v)) for v in np.asarray(vals).ravel()])
-
-
-def read_forecast_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a forecast CSV (``id,F1,...,Fh``) into an ordered id -> values map."""
-    out: dict[str, np.ndarray] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file") from None
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            sid = row[0].strip()
-            if sid in out:
-                raise LoadError(f"{path}: duplicate forecast id {sid!r}")
-            try:
-                out[sid] = _row_values(row[1:])
-            except ValueError:
-                raise LoadError(f"{path}: malformed forecast row for {sid!r}") from None
-    return out

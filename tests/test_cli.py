@@ -99,6 +99,20 @@ class TestForecastCommand:
         for name in ("forecast.csv", "provenance.csv", "correlator_matches.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_bad_external_cell_exits_1_without_out(self, planted_env, capsys):
+        # The pipeline reads external members after the correlator scan.
+        d, _, data, _, tmp = planted_env
+        ext = tmp / "ets.csv"
+        vals = {ts.id: np.ones(14) for ts in d}
+        vals["P3"][5] = np.nan
+        write_forecast_csv(vals, ext)
+        out = tmp / "out"
+        rc = main(["forecast", "--data", data, "--out", str(out), "--horizon", "14",
+                   "--external", f"ets={ext}", "--members", "naive,ets"])
+        assert rc == 1
+        assert f"{ext}: non-finite value in row 'P3', column 7: 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfig:
     def test_unknown_key_exits_2(self, planted_env, capsys, tmp_path):
@@ -173,7 +187,8 @@ class TestEvaluateCommand:
         out = tmp_path / "out"
         argv = ["evaluate", "--data", data, "--out", str(out)]
         assert main(argv + [str(x) for kv in files.items() for x in kv]) == 1
-        assert "series 'A1' has non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{files[where]}: non-finite value in row 'A1', column 4: 'nan'" in err
         assert not out.exists()
 
     def test_id_mismatch_exits_nonzero(self, tmp_path, rng, capsys):
@@ -230,6 +245,29 @@ class TestSweepCommand:
         report = json.loads((ev_out / "report.json").read_text())
         assert float(row["owa"]) == pytest.approx(report["aggregate"]["owa"], rel=1e-12)
         assert float(row["mase"]) == pytest.approx(report["aggregate"]["mase"], rel=1e-12)
+
+    def test_non_finite_test_cell_exits_1_before_scan(self, planted_env, capsys, monkeypatch):
+        d, _, data, _, tmp = planted_env
+        test = {ts.id: np.ones(14) for ts in d}
+        test["P2"][0] = np.nan
+        write_forecast_csv(test, tmp / "test.csv")
+        monkeypatch.setattr(cli, "sweep_correlator", lambda *a, **k: pytest.fail("scanned"))
+        out = tmp / "out"
+        rc = main(["sweep", "--data", data, "--test", str(tmp / "test.csv"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{tmp / 'test.csv'}: non-finite value in row 'P2', column 2: 'nan'" in err
+        assert not out.exists()
+
+    def test_failure_after_scan_leaves_no_out(self, planted_env, capsys):
+        # Every combo is scored before sweep.csv is opened: a lag longer than
+        # the training series fails in scoring and writes nothing.
+        _, _, data, test, tmp = planted_env
+        out = tmp / "out"
+        rc = main(["sweep", "--data", data, "--test", test, "--out", str(out), "--m", "1000"])
+        assert rc == 1
+        assert "too short for m=1000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_grid_exits_2(self, planted_env):
         _, _, data, test, tmp = planted_env

@@ -198,7 +198,6 @@ class TestDates:
         expected = (date(2000, 1, 1).toordinal() + last_consumed
                     >= date(2000, 1, 1).toordinal() + n_target)
         assert match.used_future == expected
-        assert match.source_date_range is not None
 
     def test_past_only_skips_future_sources(self, rng):
         # Source aligned so its consumed span ends after the forecast origin.

@@ -24,6 +24,15 @@ def write_lines(path, lines):
     return path
 
 
+def refused_by_both(path, message):
+    """Both public readers refuse ``path`` with the same message, prefixed
+    by the file name."""
+    for read in (load_m4_values, read_forecast_csv):
+        with pytest.raises(LoadError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: {message}", read.__name__
+
+
 class TestLoadValues:
     def test_basic_ragged(self, tmp_path):
         path = write_lines(tmp_path / "v.csv", ["id,V1,V2,V3", "D1,1,2,3", "D2,5,4"])
@@ -39,28 +48,29 @@ class TestLoadValues:
 
     def test_malformed_cell_names_row_and_column(self, tmp_path):
         path = write_lines(tmp_path / "v.csv", ["id,V1,V2,V3", "D1,1,x,3"])
-        with pytest.raises(LoadError, match=r"'D1'.*column 3"):
-            load_m4_values(path)
+        refused_by_both(path, "malformed value in row 'D1', column 3: 'x'")
 
     def test_interior_empty_rejected(self, tmp_path):
         path = write_lines(tmp_path / "v.csv", ["id,V1,V2,V3", "D1,1,,3"])
-        with pytest.raises(LoadError, match="column 3"):
-            load_m4_values(path)
+        refused_by_both(path, "malformed value in row 'D1', column 3: ''")
 
     def test_nonfinite_rejected(self, tmp_path):
         path = write_lines(tmp_path / "v.csv", ["id,V1,V2", "D1,1,nan"])
-        with pytest.raises(LoadError, match="non-finite"):
-            load_m4_values(path)
+        refused_by_both(path, "non-finite value in row 'D1', column 3: 'nan'")
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = write_lines(tmp_path / "v.csv", ["id,V1", "D1,1", "D1,2"])
-        with pytest.raises(LoadError, match="duplicate"):
-            load_m4_values(path)
+        refused_by_both(path, "duplicate series id 'D1'")
 
     def test_empty_series_rejected(self, tmp_path):
         path = write_lines(tmp_path / "v.csv", ["id,V1", "D1,"])
-        with pytest.raises(LoadError, match="no values"):
-            load_m4_values(path)
+        refused_by_both(path, "series 'D1' has no values")
+        path = write_lines(tmp_path / "w.csv", ["id,V1", "D1"])
+        refused_by_both(path, "series 'D1' has no values")
+
+    def test_empty_id_rejected(self, tmp_path):
+        path = write_lines(tmp_path / "v.csv", ["id,V1", "D1,1", " ,2"])
+        refused_by_both(path, "row 3 has an empty series id")
 
     def test_quoted_m4_row(self, tmp_path):
         path = write_lines(tmp_path / "v.csv", ['"V1","V2","V3"', '"D1","1.5","2"'])
@@ -80,28 +90,20 @@ class TestLoadValues:
 
     @pytest.mark.parametrize("cell", ["1e400", "-1e400"])
     def test_overflowing_cell(self, tmp_path, cell):
-        values = write_lines(tmp_path / "v.csv", ["id,V1,V2", f"D1,1,{cell}"])
-        with pytest.raises(LoadError, match=rf"non-finite value in row 'D1', column 3: '{cell}'"):
-            load_m4_values(values)
-        forecasts = write_lines(tmp_path / "f.csv", ["id,F1,F2", f"D1,1,{cell}"])
-        assert read_forecast_csv(forecasts)["D1"].tolist() == [1.0, float(cell)]
+        path = write_lines(tmp_path / "v.csv", ["id,V1,V2", f"D1,1,{cell}"])
+        refused_by_both(path, f"non-finite value in row 'D1', column 3: '{cell}'")
 
     @pytest.mark.parametrize("cell", ["1__0", "_1", "1_", "1 2", "0x10", "1.5.1"])
     def test_cells_float_refuses(self, tmp_path, cell):
         with pytest.raises(ValueError):
             float(cell)
-        values = write_lines(tmp_path / "v.csv", ["id,V1,V2,V3", f"D1,1,{cell},2"])
-        with pytest.raises(LoadError, match=rf"malformed value in row 'D1', column 3: '{cell}'"):
-            load_m4_values(values)
-        forecasts = write_lines(tmp_path / "f.csv", ["id,F1,F2,F3", f"D1,1,{cell},2"])
-        with pytest.raises(LoadError, match="malformed forecast row for 'D1'"):
-            read_forecast_csv(forecasts)
+        path = write_lines(tmp_path / "v.csv", ["id,V1,V2,V3", f"D1,1,{cell},2"])
+        refused_by_both(path, f"malformed value in row 'D1', column 3: '{cell}'")
 
     def test_first_bad_cell_is_named(self, tmp_path):
         # A non-finite cell before a malformed one is the one reported.
         path = write_lines(tmp_path / "v.csv", ["id,V1,V2,V3,V4", "D1,1,inf,x,,"])
-        with pytest.raises(LoadError, match=r"non-finite value in row 'D1', column 3: 'inf'"):
-            load_m4_values(path)
+        refused_by_both(path, "non-finite value in row 'D1', column 3: 'inf'")
 
     def test_round_trip_bit_identical(self, tmp_path, rng):
         series = [
@@ -145,6 +147,15 @@ class TestInfo:
         with pytest.warns(UserWarning, match="unparseable"):
             records = load_m4_info(info)
         assert records["D1"].start_date is None
+
+    def test_frequency_column_is_not_read(self, tmp_path):
+        info = write_lines(
+            tmp_path / "i.csv",
+            ["M4id,Frequency,Horizon,SP,StartingDate", "D1,x,7,Daily,2001-02-03"],
+        )
+        records = load_m4_info(info)
+        assert records["D1"].horizon == 7
+        assert records["D1"].start_date == date(2001, 2, 3)
 
     def test_missing_info_means_no_dates(self, tmp_path):
         vals = write_lines(tmp_path / "v.csv", ["id,V1,V2", "D1,1,2"])
