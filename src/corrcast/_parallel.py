@@ -13,11 +13,9 @@ shown or suppressed as it would be in one process.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 _WORK = None
 
@@ -55,6 +53,10 @@ def indexed_map(work, n: int, threads: int = 1) -> list:
     ValueError for ``threads`` below 1."""
     if check_threads(threads) == 1 or n <= 1:
         return [work(i) for i in range(n)]
+    # Imported here, so that a serial run never loads them.
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         ctx = mp.get_context("fork")
     except ValueError:

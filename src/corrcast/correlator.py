@@ -19,15 +19,19 @@ values in contiguous blocks and keeps the eligible windows (valid,
 non-terminal) at or above the threshold. The projection index narrows that
 set first: for a query z-normalised to qhat and a window to what (both of
 norm sqrt(w)), r = 1 - |qhat - what|^2 / 2w, so r >= t bounds the distance
-by sqrt(2w(1 - t)), and so |qhat.u - what.u| for any unit zero-sum u. The
-engine stores what.u for every eligible window (sorted fixed-point int32
-keys with int32 flat positions: 8 bytes per window), so a target
-binary-searches the keys within that radius plus a rounding slack, prunes
-the range by a gathered matrix-vector r with a margin for its rounding, and
-takes the kernel's r at the survivors: the same arrays as the full scan.
-Windows too ill-conditioned for the slack (std tiny against the series'
-magnitude) skip the index. When the range is dense -- loose thresholds,
-near-linear tails -- the full scan runs instead.
+by sqrt(2w(1 - t)), and so |qhat.u - what.u| for any unit zero-sum u (the
+GEMINI lower bound: Faloutsos, Ranganathan & Manolopoulos, SIGMOD 1994).
+The engine stores two such coordinates of every eligible window, along
+DCT-II rows 1 and 2, in the order of the first: sorted fixed-point int32
+keys, int16 second coordinates and int32 flat positions, 10 bytes per
+window. A target binary-searches the keys within that radius plus a
+rounding slack, keeps the windows of that contiguous range whose second
+coordinate lies within the same radius, prunes those by a gathered
+matrix-vector r with a margin for its rounding, and takes the kernel's r at
+the survivors: the same arrays as the full scan. Windows too
+ill-conditioned for the slack (std tiny against the series' magnitude) skip
+the index. When the range is dense -- loose thresholds, near-linear tails
+-- the full scan runs instead.
 
 Two historical defects of the original submission are reproducible behind
 flags: ``bug1`` disables the method for every series past file position
@@ -125,6 +129,15 @@ def check_dated(dataset: Dataset, mode: str) -> None:
         )
 
 
+def _dct_row(w: int, k: int) -> np.ndarray:
+    """DCT-II row k of length w at unit norm, u_i ~ cos(pi k (2i + 1) / 2w):
+    zero-sum for 0 < k < w; zeros for k >= w, where no such row exists."""
+    if k >= w:
+        return np.zeros(w)
+    u = np.cos(np.pi * k * (2 * np.arange(w) + 1) / (2 * w))
+    return u / np.sqrt(np.dot(u, u))
+
+
 class CorrelationEngine:
     """Shared scan state: centered values and window stds of every series,
     and the sorted projection index over all eligible windows.
@@ -137,11 +150,13 @@ class CorrelationEngine:
     """
 
     # Range counts above this fraction of the flat windows take the full
-    # scan, about 14 ns per flat window against 55 ns per range entry. With
-    # both paths forced on forecast-rw and sweep-smooth seed 3 (w = 14, 2
-    # vCPU) the index won on 95% of targets whose range held 15-20% of the
-    # flat windows, 55% at 20-25%, 32% at 25-30% and 1% above 35%.
-    _DENSE_FRACTION = 0.2
+    # scan, about 14 ns per flat window against about 25 ns per range entry
+    # (the second coordinate's prune, then the gather of its survivors). With
+    # both paths forced on forecast-rw and sweep-smooth seed 3 at r >= 0.95,
+    # 0.99, 0.999 and 0.9999 (w = 14, 2 vCPU) the index won on 99% of targets
+    # whose range held 20-25% of the flat windows, 81% at 25-30%, 79% at
+    # 30-35%, 64% at 35-40% and 16% at 40-45%.
+    _DENSE_FRACTION = 0.35
     # Windows whose std is below max|series| / _COND_MAX go to a short list
     # that skips the index and the prune: the rounding errors of r and of
     # the key grow with c = max|series| / std, and the slacks below cover
@@ -168,10 +183,11 @@ class CorrelationEngine:
         # non-terminal, of source series), the mask of the full scan.
         self._std = np.zeros(n)
         self._valid = np.zeros(n, dtype=bool)
-        # The index direction: DCT-II row 1, u_i ~ cos(pi (2i + 1) / 2w), a
-        # unit zero-sum ramp along which trending windows spread out most.
-        u = np.cos(np.pi * (2 * np.arange(w) + 1) / (2 * w))
-        self._u = u / np.sqrt(np.dot(u, u))
+        # The index directions: DCT-II rows 1 and 2, u_i ~ cos(pi k (2i + 1) / 2w),
+        # unit and zero-sum. Row 1 is a ramp along which trending windows
+        # spread out most; row 2 is a bend. With w = 2 row 2 does not exist,
+        # so u2 = 0 and every second coordinate is 0.
+        self._u, self._u2 = (_dct_row(w, k) for k in (1, 2))
         # Slacks, from forward-error bounds (eps = 2^-52) for windows with
         # c <= _COND_MAX. The kernel's r sums the w products of the query q
         # with globally centered values x (each at most 2c window stds) left
@@ -181,22 +197,26 @@ class CorrelationEngine:
         # order (so the prune's matrix-vector r as well). The query's residual
         # sum (at most eps w (w + 1) / 2 after double centering) against the
         # window's offset gives c eps (w + 1) more; the std's rounding and the
-        # division give (w + 6) eps. The key is the same dot product with u
-        # (|u|_1 <= sqrt(w), |sum(u)| <= w eps) over the std: c eps
-        # (sqrt(w) (w + 1) + 2w); the query's key and the bounds add under
-        # w^2 eps. Both slacks take their bound 4 times over.
+        # division give (w + 6) eps. A coordinate is the same dot product with
+        # its row (|u|_1 <= sqrt(w), |sum(u)| <= w eps) over the std: c eps
+        # (sqrt(w) (w + 1) + 2w); the query's coordinate and the bounds add
+        # under w^2 eps. Both slacks take their bound 4 times over.
         eps = np.finfo(np.float64).eps
         c = self._COND_MAX
         self._r_slack = 4 * (2 * c * eps * (w + 1) + (w + 6) * eps)
         self._key_slack = 4 * c * eps * (np.sqrt(w) * (w + 1) + 2 * w)
-        # Keys are fixed point, floor(key * scale) as int32; |key| <= sqrt(w),
-        # so scale = 2^30 / 2^ceil(log2 sqrt(w)) keeps them in range.
-        # Flooring is monotone: a key inside the bounds floors inside the
-        # floored bounds, so the fixed point needs no slack.
-        self._scale = 2.0 ** (30 - int(np.ceil(np.log2(np.sqrt(w)))))
+        # Coordinates are fixed point, floor(coordinate * scale): the key as
+        # int32, the second coordinate as int16. |coordinate| <= sqrt(w), so
+        # scale = 2^b / 2^ceil(log2 sqrt(w)) keeps them in range with b = 30
+        # and b = 14. Flooring is monotone: a coordinate inside its bounds
+        # floors inside the floored bounds, so the fixed point needs no slack.
+        bits = int(np.ceil(np.log2(np.sqrt(w))))
+        self._scale, self._scale2 = 2.0 ** (30 - bits), 2.0 ** (14 - bits)
         # Key and position packed in one little-endian int64 (key high,
-        # position low) sort in place, with no index array.
+        # position low) sort in place, with no index array; the second
+        # coordinate, stored by flat position, follows its position.
         packed = np.empty(n, dtype="<i8")
+        coord2 = np.zeros(n, dtype=np.int16)
         loose = [np.empty(0, dtype=np.int32)]
         m = 0
         for ts, a in zip(dataset, self.offsets[:-1]):
@@ -214,8 +234,12 @@ class CorrelationEngine:
             tight = eligible & (std * self._COND_MAX >= np.abs(ts.values).max())
             loose.append((np.flatnonzero(eligible & ~tight) + a).astype(np.int32))
             idx = np.flatnonzero(tight)
-            keys = np.correlate(centered, self._u, mode="valid")[idx] / std[idx]
-            packed[m : m + idx.size] = np.floor(keys * self._scale).astype(np.int64) * 2**32 + idx + a
+            std = std[idx]
+            keys = np.correlate(centered, self._u, mode="valid")[idx] / std
+            bends = np.correlate(centered, self._u2, mode="valid")[idx] / std
+            idx += a
+            packed[m : m + idx.size] = np.floor(keys * self._scale).astype(np.int64) * 2**32 + idx
+            coord2[idx] = np.floor(bends * self._scale2)
             m += idx.size
         self._std.flags.writeable = False
         self._valid.flags.writeable = False
@@ -225,6 +249,9 @@ class CorrelationEngine:
         words = packed.view("<i4")
         self._pos = words[0::2].copy()
         self._keys = words[1::2].copy()
+        del packed, words
+        self._coord2 = np.take(coord2, self._pos)
+        del coord2
         # Day ordinal of each series' first value, NaN where it is undated.
         self.start_ords = np.array([np.nan if ts.start_date is None else ts.start_date.toordinal()
                                     for ts in dataset], dtype=np.float64)
@@ -256,8 +283,8 @@ class CorrelationEngine:
         """
         w = self.params.w
         qhat = tail[0]
-        # |qhat.u - what.u| <= |qhat - what| = sqrt(2w(1 - r)) for unit zero-sum u;
-        # the kernel keeps r >= t only if the exact r >= t - r_slack.
+        # |qhat.u - what.u| <= |qhat - what| = sqrt(2w(1 - r)) for unit zero-sum u,
+        # and so for u2; the kernel keeps r >= t only if the exact r >= t - r_slack.
         radius = np.sqrt(2 * w * (1.0 - r_threshold + self._r_slack)) + self._key_slack
         bounds = np.floor((np.dot(qhat, self._u) + np.array([-radius, radius])) * self._scale)
         key_lo, key_hi = bounds.clip(-(2**31), 2**31 - 1).astype(np.int32)
@@ -266,13 +293,19 @@ class CorrelationEngine:
         if hi - lo + self._loose.size > self._DENSE_FRACTION * self._valid.size:
             pos, r = self._full_scan(qhat, r_threshold)
         else:
-            # Prune by a gathered matrix-vector r (within one slack of the
-            # exact r, as the kernel's is), then take the kernel's r.
+            # Prune the key range by the second coordinate's bounds (floored
+            # as the key's are), then by a gathered matrix-vector r (within
+            # one slack of the exact r, as the kernel's is), then take the
+            # kernel's r.
+            c2_lo, c2_hi = np.floor((np.dot(qhat, self._u2) + np.array([-radius, radius]))
+                                    * self._scale2)
             windows = sliding_window_view(self._centered, w)
             step = self._BLOCK // w
             kept = [self._loose]
             for s in range(lo, hi, step):
-                pos = self._pos[s : min(s + step, hi)]
+                e = min(s + step, hi)
+                c2 = self._coord2[s:e]
+                pos = self._pos[s:e][(c2 >= c2_lo) & (c2 <= c2_hi)]
                 r = (windows[pos] @ qhat) / (w * self._std[pos])
                 kept.append(pos[r >= r_threshold - 2 * self._r_slack])
             pos = np.sort(np.concatenate(kept))

@@ -217,7 +217,10 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
     Columns are located by header name: the series id column contains
     "id", the seasonal-pattern label column is "SP", plus "Horizon" and
     "StartingDate"; other columns ("Frequency" among them) are not read.
-    Unparseable dates produce a warning and are treated as absent.
+    Blank lines are skipped. An empty id, a repeated id and a horizon that
+    is not a whole number >= 1 ("14" and "14.0" are) are errors naming the
+    row or the series. Unparseable dates produce a warning and are treated
+    as absent.
     """
     records: dict[str, InfoRecord] = {}
     with open(path, newline="") as fh:
@@ -241,16 +244,23 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
         date_col = find("startingdate", "starting_date", "start_date", required=False)
 
         for row in reader:
-            if not row or not row[0].strip():
+            if not row:
                 continue
-            sid = row[id_col].strip()
+            sid = row[id_col].strip() if id_col < len(row) else ""
+            if not sid:
+                raise LoadError(f"{path}: row {reader.line_num} has an empty series id")
+            if sid in records:
+                raise LoadError(f"{path}: duplicate series id {sid!r}")
             label = row[sp_col].strip() if sp_col is not None and sp_col < len(row) else ""
             if label and label not in FREQUENCY_LABELS:
                 raise LoadError(f"{path}: unknown frequency label {label!r} for {sid!r}")
             try:
-                horizon = int(float(row[horizon_col]))
+                horizon = float(row[horizon_col])
             except (ValueError, IndexError):
-                raise LoadError(f"{path}: bad horizon for series {sid!r}") from None
+                horizon = math.nan
+            if not (horizon >= 1.0 and horizon.is_integer()):
+                raise LoadError(f"{path}: bad horizon for series {sid!r}: expected a whole "
+                                "number >= 1")
             start = None
             if date_col is not None and date_col < len(row):
                 raw = row[date_col]
@@ -261,7 +271,7 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
                     )
             records[sid] = InfoRecord(
                 frequency_label=label or "Daily",
-                horizon=horizon,
+                horizon=int(horizon),
                 start_date=start,
             )
     return records

@@ -2,8 +2,13 @@
 and a decomposition-based method.
 
 Simple exponential smoothing scores its whole alpha grid at once with a
-log-depth doubling scan of the level recursion (Hillis & Steele 1986;
-Blelloch 1990) in plain numpy.
+blocked scan of the level recursion. The series is cut into blocks of 16.
+A log-depth doubling scan (Hillis & Steele 1986; Blelloch 1990) over the
+block ends, not over every point, carries the level from block to block,
+and then one matrix product gives every alpha's level at every point from
+its block's values and the level carried into the block. That is O(n) work
+per alpha, and the one-step errors and the final level are read from the
+product's (block, alpha, offset) layout as it stands.
 
 The decomposition method splits a series into trend/seasonal/residual with
 a short centered moving average (period 2), forecasts trend and residual
@@ -22,6 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 SES_ALPHA_GRID = np.arange(0.05, 1.0, 0.05)
+
+# Block length of the SES level scan.
+_SES_BLOCK = 16
 
 # Number of recent component values fed to the trend/residual strategies.
 STRATEGY_TAIL = 14
@@ -83,34 +91,76 @@ def ses_forecast(series, h: int, alpha: float | None = None) -> np.ndarray:
         raise ValueError("cannot forecast an empty series")
     if h < 1:
         raise ValueError(f"horizon must be positive, got {h}")
+    last = divmod(series.size - 1, _SES_BLOCK)
     if alpha is not None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if alpha == 1.0:
             return naive_forecast(series, h)
-        return np.full(h, _ses_levels(series, np.array([alpha]))[0, -1])
-    levels = _ses_levels(series, SES_ALPHA_GRID)
-    err = series[1:] - levels[:, :-1]
-    best = np.argmin(np.einsum("ij,ij->i", err, err))
-    return np.full(h, levels[best, -1])
+        return np.full(h, _ses_levels(series, _ses_kernel([alpha]))[last[0], 0, last[1]])
+    levels = _ses_levels(series, _SES_GRID)
+    # y[t + 1] - level[t] in the levels' layout, 0 from t = n - 1 on.
+    ahead = np.zeros(levels.shape[0] * _SES_BLOCK)
+    ahead[: series.size - 1] = series[1:]
+    err = ahead.reshape(-1, 1, _SES_BLOCK) - levels
+    err[-1, :, last[1]:] = 0.0
+    best = np.argmin(np.einsum("bij,bij->i", err, err))
+    return np.full(h, levels[last[0], best, last[1]])
 
 
-def _ses_levels(series: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """SES levels of ``series`` for each of ``alphas``, one row per alpha.
+def _ses_kernel(alphas) -> tuple[np.ndarray, np.ndarray]:
+    """The blocked scan's constants for ``alphas`` (A of them): the weights
+    W, (16 + A) x 16A, and the block decay (1-alpha)^16.
 
-    A doubling scan of d[t] = (1-alpha)*d[t-1] + alpha*(y[t] - y[0]), d[0] = 0:
-    after the step with shift s, d[t] sums the last 2s terms, so ceil(log2 n)
-    steps give every level y[0] + d[t].
+    Column 16a + j of W maps a block's 16 deviations from y[0], then the A
+    level deviations at the previous block's end, to alpha a's level
+    deviation at offset j: row i < 16 holds alpha (1-alpha)^(j-i) for i <= j
+    and 0 above j, and row 16 + a holds the carry weight (1-alpha)^(j+1),
+    the other alphas' rows 0.
     """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    a = alphas.size
+    lag = np.arange(_SES_BLOCK) - np.arange(_SES_BLOCK)[:, None]
+    step = alphas[:, None, None] * (1.0 - alphas[:, None, None]) ** np.maximum(lag, 0)
+    weights = np.zeros((_SES_BLOCK + a, a, _SES_BLOCK))
+    weights[:_SES_BLOCK] = np.where(lag >= 0, step, 0.0).transpose(1, 0, 2)
+    weights[_SES_BLOCK + np.arange(a), np.arange(a)] = (
+        (1.0 - alphas[:, None]) ** np.arange(1, _SES_BLOCK + 1))
+    return weights.reshape(_SES_BLOCK + a, -1), (1.0 - alphas) ** _SES_BLOCK
+
+
+def _ses_levels(series: np.ndarray, kernel) -> np.ndarray:
+    """SES levels of ``series`` for each alpha of ``kernel`` (``_ses_kernel``),
+    as (block, alpha, offset): [b, a, j] is alpha a's level at t = 16b + j,
+    and the slots past the series' end are padding.
+
+    Row b of the product's input holds block b's deviations z = y - y[0]
+    (zero past the end) and each alpha's level deviation e[b-1] at the end of
+    block b - 1. The ends come first: from a zero start, one small product
+    gives each block's end, and a doubling scan carries them along,
+    e[b] += (1-alpha)^16 e[b-1].
+    """
+    weights, block_decay = kernel
+    nb = -(-series.size // _SES_BLOCK)
     # Deviations from y[0] are exactly 0 on a constant series, so its levels
     # stay exactly y[0] whatever rounding the scan does.
-    d = alphas[:, None] * (series - series[0])
-    decay = 1.0 - alphas[:, None]
+    z = np.zeros(nb * _SES_BLOCK)
+    np.subtract(series, series[0], out=z[: series.size])
+    rows = np.zeros((nb, weights.shape[0]))
+    rows[:, :_SES_BLOCK] = z.reshape(nb, _SES_BLOCK)
+    ends = rows[:, :_SES_BLOCK] @ weights[:_SES_BLOCK, _SES_BLOCK - 1 :: _SES_BLOCK]
     s = 1
-    while s < series.size:
-        d[:, s:] += decay ** s * d[:, :-s]
+    while s < nb:
+        ends[s:] += block_decay * ends[:-s]
+        block_decay = block_decay * block_decay
         s *= 2
-    return series[0] + d
+    rows[1:, _SES_BLOCK:] = ends[:-1]
+    levels = (rows @ weights).reshape(nb, block_decay.size, _SES_BLOCK)
+    levels += series[0]
+    return levels
+
+
+_SES_GRID = _ses_kernel(SES_ALPHA_GRID)
 
 
 def decompose_classical(series, period: int = 2) -> Decomposition:

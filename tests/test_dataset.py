@@ -157,6 +157,36 @@ class TestInfo:
         assert records["D1"].horizon == 7
         assert records["D1"].start_date == date(2001, 2, 3)
 
+    HEADER = "M4id,Frequency,Horizon,SP,StartingDate"
+
+    def test_duplicate_id_refused(self, tmp_path):
+        info = write_lines(tmp_path / "i.csv",
+                           [self.HEADER, "D1,1,14,Daily,", "D2,1,14,Daily,", "D1,1,7,Daily,"])
+        with pytest.raises(LoadError, match="duplicate series id 'D1'"):
+            load_m4_info(info)
+
+    @pytest.mark.parametrize("row", [",1,14,Daily,", " ,1,14,Daily,1994-01-01", ",,,,"])
+    def test_empty_id_refused(self, tmp_path, row):
+        info = write_lines(tmp_path / "i.csv", [self.HEADER, "D1,1,14,Daily,", row])
+        with pytest.raises(LoadError, match="row 3 has an empty series id"):
+            load_m4_info(info)
+
+    def test_empty_id_in_a_later_id_column_refused(self, tmp_path):
+        info = write_lines(tmp_path / "i.csv", ["Frequency,Horizon,M4id", "1,14,D1", "1,14,"])
+        with pytest.raises(LoadError, match="row 3 has an empty series id"):
+            load_m4_info(info)
+
+    @pytest.mark.parametrize("horizon", ["14.7", "0", "-3", "0.5", "nan", "inf", "", "x"])
+    def test_horizon_not_a_whole_number_refused(self, tmp_path, horizon):
+        info = write_lines(tmp_path / "i.csv", [self.HEADER, f"D1,1,{horizon},Daily,"])
+        with pytest.raises(LoadError, match="bad horizon for series 'D1'"):
+            load_m4_info(info)
+
+    @pytest.mark.parametrize("horizon", ["14", "14.0", " 14 ", "1"])
+    def test_whole_horizon_loads(self, tmp_path, horizon):
+        info = write_lines(tmp_path / "i.csv", [self.HEADER, f"D1,1,{horizon},Daily,", ""])
+        assert load_m4_info(info)["D1"].horizon == int(float(horizon))
+
     def test_missing_info_means_no_dates(self, tmp_path):
         vals = write_lines(tmp_path / "v.csv", ["id,V1,V2", "D1,1,2"])
         d = load_m4_values(vals)

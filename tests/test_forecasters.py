@@ -17,8 +17,16 @@ from corrcast import (
     ses_forecast,
 )
 from corrcast import forecasters
-from corrcast.forecasters import SES_ALPHA_GRID, Decomposition, _best_combo, _ses_levels
+from corrcast.forecasters import (
+    _SES_GRID,
+    SES_ALPHA_GRID,
+    Decomposition,
+    _best_combo,
+    _ses_kernel,
+    _ses_levels,
+)
 from corrcast.metrics import UndefinedMetricError, mase
+from conftest import bench_corpus
 
 
 def oracle_decompose_period2(y):
@@ -258,22 +266,43 @@ class TestSes:
         assert np.array_equal(ses_forecast(y, 5), ses_forecast(y, 5))
 
 
+def scan_levels(y, alphas):
+    """The blocked scan's levels for ``alphas``, one row per alpha."""
+    levels = _ses_levels(y, _ses_kernel(alphas))
+    return levels.transpose(1, 0, 2).reshape(len(alphas), -1)[:, : y.size]
+
+
+def oracle_grid_choice(y):
+    """Index of the grid alpha the loop recursion's in-sample squared error
+    picks (the first of equal errors). The loop runs once for the whole
+    grid; each alpha's level takes exactly the arithmetic of
+    ``oracle_ses_levels``."""
+    levels = np.empty((y.size, SES_ALPHA_GRID.size))
+    level = np.full(SES_ALPHA_GRID.size, y[0])
+    levels[0] = level
+    for t in range(1, y.size):
+        level = level + SES_ALPHA_GRID * (y[t] - level)
+        levels[t] = level
+    err = y[1:, None] - levels[:-1]
+    return int(np.argmin((err * err).sum(axis=0)))
+
+
 class TestSesScan:
-    """The doubling scan against the loop recursion."""
+    """The blocked scan against the loop recursion."""
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(ses_series())
     def test_levels_and_choice_match_loop(self, y):
         scale = float(np.abs(y).max())
-        levels = _ses_levels(y, SES_ALPHA_GRID)
+        levels = scan_levels(y, SES_ALPHA_GRID)
         sses = []
         for row, alpha in zip(levels, SES_ALPHA_GRID):
             want = np.array(oracle_ses_levels(y.tolist(), float(alpha)))
             assert np.abs(row - want).max() <= 1e-12 * scale, alpha
             sses.append(sum((v - lv) ** 2 for v, lv in zip(y[1:], want[:-1])))
         for alpha in (1e-9, 1e-4, 1.0):
-            got = _ses_levels(y, np.array([alpha]))[0]
+            got = scan_levels(y, [alpha])[0]
             want = np.array(oracle_ses_levels(y.tolist(), alpha))
             assert np.abs(got - want).max() <= 1e-12 * scale, alpha
             assert abs(ses_forecast(y, 1, alpha=alpha)[0] - want[-1]) <= 1e-12 * scale, alpha
@@ -287,6 +316,35 @@ class TestSesScan:
             # final level at that alpha, bit for bit.
             assert fc.tolist() == [levels[order[0], -1]] * 3
         assert np.array_equal(ses_forecast(y, 2, alpha=1.0), naive_forecast(y, 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 32, 33, 16 * 40 - 1, 16 * 40 + 1,
+                                   16 * 620 - 1, 16 * 620 + 1])
+    def test_block_edges(self, rng, n):
+        """Lengths on either side of whole blocks, where the padding and the
+        carry from block to block begin and end."""
+        for offset in (0.0, -1e6, 1e9):
+            y = offset + np.cumsum(rng.normal(0.0, 1.0, n))
+            scale = float(np.abs(y).max())
+            for alphas in (SES_ALPHA_GRID, [1e-9], [0.5], [1.0]):
+                got = scan_levels(y, alphas)
+                for row, alpha in zip(got, alphas):
+                    want = np.array(oracle_ses_levels(y.tolist(), float(alpha)))
+                    assert np.abs(row - want).max() <= 1e-12 * scale, (n, offset, alpha)
+            flat = np.full(n, offset + 0.37)
+            for alphas in (SES_ALPHA_GRID, [1e-9], [0.5], [1.0]):
+                assert np.all(scan_levels(flat, alphas) == flat[0]), (n, offset, alphas)
+            assert ses_forecast(flat, 2).tolist() == [flat[0]] * 2
+
+    @pytest.mark.parametrize("workload", ["forecast-rw", "validate-short"])
+    def test_bench_corpus_alpha_matches_loop(self, tmp_path, workload):
+        """On every series of the benchmark's seed-0 corpus the grid forecast
+        is the scan's final level at the loop oracle's alpha, bit for bit."""
+        data = bench_corpus().generate(workload, 0, tmp_path).dataset
+        for ts in data:
+            y = ts.values
+            b, j = divmod(y.size - 1, forecasters._SES_BLOCK)
+            want = _ses_levels(y, _SES_GRID)[b, oracle_grid_choice(y), j]
+            assert ses_forecast(y, 1)[0] == want, ts.id
 
     def test_exact_tie_takes_smallest_alpha(self):
         # With two points every alpha has the same in-sample error.

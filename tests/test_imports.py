@@ -1,6 +1,7 @@
 """The package's import surface: importing the CLI must not pull in scipy,
-and the public names are pinned, so that adding or removing an export is a
-visible change to this file."""
+nor the process-pool modules a serial run never uses, and the public names
+are pinned, so that adding or removing an export is a visible change to
+this file."""
 
 import os
 import subprocess
@@ -12,13 +13,24 @@ import corrcast
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_cli_import_loads_no_scipy():
+def _modules_after_cli_import(roots):
+    """The loaded modules under ``roots`` once a fresh interpreter has
+    imported ``corrcast.cli``."""
     code = ("import corrcast.cli, sys; "
-            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(' '.join(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == ""
+    return out.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _modules_after_cli_import(("scipy",)) == []
+
+
+def test_cli_import_loads_no_process_pool():
+    """``multiprocessing`` and ``concurrent.futures`` load only when a pool starts."""
+    assert _modules_after_cli_import(("multiprocessing", "concurrent")) == []
 
 
 PUBLIC = [

@@ -6,10 +6,11 @@ These tests force each path by patching the engine's private dense cut-off
 and compare all five arrays with ``np.array_equal``, on inputs built to sit
 at the edges of the index's error bounds: duplicate windows (tie order),
 windows at the constancy floor, offsets and level shifts up to 1e9, steep
-ramps, series too short to be sources, and plants just around the
-thresholds. The kernel's r is held to ``pearson`` within the r slack, a
-tail copy straddling two series must never be a candidate, and the
-benchmark's smooth corpus must take the full scan and keep its plants.
+ramps, series too short to be sources, plants just around the thresholds,
+and windows whose second index coordinate sits on the prune's radius. The
+kernel's r is held to ``pearson`` within the r slack, a tail copy
+straddling two series must never be a candidate, and the benchmark's
+smooth corpus must take the full scan and keep its plants.
 """
 
 import numpy as np
@@ -134,6 +135,56 @@ def test_kernel_r_within_slack_of_pearson(case):
             except ConstantInputError:
                 continue
             assert abs(r - want) <= engine._r_slack, (j, k, tau, r, want)
+
+
+def _reflected_pairs(rng, engine, w, offset, r_threshold):
+    """(tail, window) shapes, each window the tail reflected across the
+    plane normal to the second index direction u2: the two differ only
+    along u2, by exactly the radius sqrt(2w(1 - r)) at their r. The r run
+    over r_threshold + k r_slack, k = -2..2, capped at 1."""
+    u2 = engine._u2
+    pairs = []
+    for k in range(-2, 3):
+        r = min(1.0, r_threshold + k * engine._r_slack)
+        v = rng.normal(0.0, 1.0, w)
+        v -= v.mean() + np.dot(v, u2) * u2
+        v /= np.sqrt(np.dot(v, v)) or 1.0
+        c = np.sqrt(w * (1.0 - r) / 2.0)
+        qhat = c * u2 + np.sqrt(w - c * c) * v
+        scale = 10.0 ** rng.uniform(-2, 3)
+        pairs.append((offset + scale * qhat,
+                      offset + rng.uniform(-5, 5) + scale * rng.uniform(0.5, 2.0)
+                      * (qhat - 2 * c * u2)))
+    return pairs
+
+
+@pytest.mark.parametrize("w", [2, 3, 5, 14])
+@pytest.mark.parametrize("offset", [0.0, 1e3, -1e6, 1e9])
+def test_windows_on_the_second_coordinates_bound(rng, w, offset):
+    """Windows at r = t +- a few r slacks whose whole distance from the
+    query lies along u2, so their second coordinate sits on the prune's
+    radius. The paths agree on every target at every threshold; with w = 2,
+    where u2 = 0, every window is a copy and every coordinate is 0."""
+    engine = CorrelationEngine(Dataset([TimeSeries("x", rng.normal(0.0, 1.0, 2 * w))]),
+                               CorrelatorParams(w=w))
+    if w == 2:
+        assert not engine._u2.any()
+    targets, hosts = [], []
+    for r_threshold in THRESHOLDS:
+        for tail, window in _reflected_pairs(rng, engine, w, offset, r_threshold):
+            filler = offset + np.cumsum(rng.normal(0.0, np.std(tail) or 1.0, 3 * w))
+            targets.append(np.concatenate([filler, tail]))
+            hosts.extend([filler, window])
+    hosts.append(offset + np.cumsum(rng.normal(0.0, 1.0, 3 * w)))
+    data = Dataset([TimeSeries(f"T{i}", v) for i, v in enumerate(targets)]
+                   + [TimeSeries("H", np.concatenate(hosts))])
+    engine = CorrelationEngine(data, CorrelatorParams(w=w))
+    assert engine._coord2.dtype == np.int16
+    if w == 2:
+        assert not engine._coord2.any()
+    for j in range(len(targets)):
+        for r_threshold in THRESHOLDS:
+            assert_paths_agree(engine, j, r_threshold)
 
 
 @pytest.mark.parametrize("split", range(1, 14))
