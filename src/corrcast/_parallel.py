@@ -48,10 +48,25 @@ def check_threads(threads: int) -> int:
     return threads
 
 
-def indexed_map(work, n: int, threads: int = 1) -> list:
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def indexed_map(work, n: int, threads: int = 1, min_saved: int = 1) -> list:
     """Return [work(0), ..., work(n-1)], optionally computed in parallel;
-    ValueError for ``threads`` below 1."""
-    if check_threads(threads) == 1 or n <= 1:
+    ValueError for ``threads`` below 1.
+
+    The workers are capped by ``threads``, ``n`` and the CPUs this process
+    may use. The map runs in this process unless a pool would take at
+    least ``min_saved`` items off it: n less the most items one worker
+    gets. So a map that would get one worker never forks.
+    """
+    workers = min(check_threads(threads), n, _usable_cpus())
+    if workers <= 1 or n - -(-n // workers) < min_saved:
         return [work(i) for i in range(n)]
     # Imported here, so that a serial run never loads them.
     import multiprocessing as mp
@@ -65,7 +80,6 @@ def indexed_map(work, n: int, threads: int = 1) -> list:
     global _WORK
     _WORK = work
     try:
-        workers = min(threads, n, os.cpu_count() or 1)
         chunk = max(1, n // (workers * 8))
         results, modules = [], {}
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:

@@ -1,11 +1,23 @@
 """Forecast pipeline: window-matching forecasts where accepted, a pointwise
 median of configured forecasters elsewhere, and negative clipping last.
 
+The pipeline works through the dataset in contiguous chunks of about
+``_CHUNK_POINTS`` points, one chunk per work item of the pool, which starts
+only when it takes at least ``_POOL_MIN_CHUNKS`` chunks off the main
+process. Chunk boundaries depend only on the series lengths, so the output
+does not depend on the thread count. Within a chunk the decomposition member
+(``custom``) forecasts every series that reaches the ensemble in one call
+of its chunk kernel, which gives each series the same bits as
+``custom_forecast`` on that series alone; the other members run per
+series.
+
 A series' ensemble works on plain arrays: each member's output is checked
 as a ``Forecast`` would check it, the survivors are stacked and sorted down
 the columns, and the median is the middle row (the mean of the two middle
-rows for an even count), with the same bits as ``np.median``. Each series
-then gets one clipped ``Forecast`` record.
+rows for an even count), with the same bits as ``np.median``. A median that
+overflows sends the series to the naive fallback, as a series whose
+members all fail goes. Each series then gets one clipped ``Forecast``
+record.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ import numpy as np
 from ._parallel import indexed_map
 from .correlator import CorrelatorMatch, CorrelatorParams, run_correlator
 from .dataset import Dataset, read_forecast_csv
-from .forecasters import Forecast, custom_forecast, naive_forecast, ses_forecast
+from .forecasters import Forecast, _custom_rows, custom_forecast, naive_forecast, ses_forecast
 
 BUILTIN_MEMBERS: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
     "naive": naive_forecast,
@@ -29,6 +41,16 @@ BUILTIN_MEMBERS: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
 }
 
 DEFAULT_MEMBERS = ("naive", "ses", "custom")
+
+# Points of series in one work item. It bounds the decomposition kernel's
+# temporaries, about a dozen float64 arrays of this many values.
+_CHUNK_POINTS = 2**15
+# The pool starts only when it takes this many chunks off the main process.
+# On a 2-vCPU VM starting a pool (importing multiprocessing, forking the
+# workers, their copy-on-write faults) costs about 40-60 ms. Member work at
+# one thread is about 60 us per series plus 0.1 us per point, so a chunk of
+# 40-400-point series takes about 20 ms, and one of a few long series 4 ms.
+_POOL_MIN_CHUNKS = 3
 
 
 @dataclass(frozen=True)
@@ -71,7 +93,9 @@ def _median(sid: str, parts: Sequence[np.ndarray]) -> np.ndarray:
     # at 0.0, which turns a -0.0 into 0.0; starting at 0.0 here matches it.
     if len(parts) % 2:
         return 0.0 + ordered[mid]
-    return (0.0 + ordered[mid - 1] + ordered[mid]) / 2.0
+    # The sum of the two middle rows can overflow; the caller checks.
+    with np.errstate(over="ignore"):
+        return (0.0 + ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def median_combine(forecasts: Sequence[Forecast]) -> Forecast:
@@ -89,13 +113,17 @@ def clip_negative(forecast: Forecast) -> Forecast:
 
 
 def _ensemble_values(ts, h: int, members: Sequence[str],
-                     external_tables: Mapping[str, Mapping[str, np.ndarray]]) -> tuple[np.ndarray, str]:
+                     external_tables: Mapping[str, Mapping[str, np.ndarray]],
+                     batched: Mapping[str, np.ndarray] | None = None) -> tuple[np.ndarray, str]:
     """Median of the members that succeed on one series; naive fallback when
-    every member fails."""
+    every member fails or the median overflows. ``batched`` holds the
+    outputs of members already computed for this series with its chunk."""
     parts: list[np.ndarray] = []
     for name in members:
         try:
-            if name in BUILTIN_MEMBERS:
+            if batched is not None and name in batched:
+                vals = batched[name]
+            elif name in BUILTIN_MEMBERS:
                 vals = BUILTIN_MEMBERS[name](ts.values, h)
             else:
                 table = external_tables[name]
@@ -114,7 +142,26 @@ def _ensemble_values(ts, h: int, members: Sequence[str],
     if not parts:
         warnings.warn(f"all ensemble members failed on {ts.id!r}; falling back to naive")
         return naive_forecast(ts.values, h), "Naive"
-    return _median(ts.id, parts), "Ensemble"
+    values = _median(ts.id, parts)
+    if not np.isfinite(values).all():
+        warnings.warn(f"ensemble median overflows on {ts.id!r}; falling back to naive")
+        return naive_forecast(ts.values, h), "Naive"
+    return values, "Ensemble"
+
+
+def _chunks(dataset: Dataset) -> list[tuple[int, int]]:
+    """(first, end) series indices of contiguous runs of series, in dataset
+    order, each with at most ``_CHUNK_POINTS`` points unless it is a single
+    longer series."""
+    chunks, first, points = [], 0, 0
+    for i, ts in enumerate(dataset):
+        if points and points + len(ts) > _CHUNK_POINTS:
+            chunks.append((first, i))
+            first, points = i, 0
+        points += len(ts)
+    if len(dataset):
+        chunks.append((first, len(dataset)))
+    return chunks
 
 
 def pipeline_forecast(dataset: Dataset, config: PipelineConfig, threads: int = 1,
@@ -134,10 +181,11 @@ def pipeline_forecast(dataset: Dataset, config: PipelineConfig, threads: int = 1
         matches = run_correlator(dataset, config.correlator, threads=threads)
 
     external_tables = {name: read_forecast_csv(path) for name, path in config.external.items()}
+    # Members whose chunk kernel forecasts a chunk's series in one call.
+    chunked = [name for name in config.members if BUILTIN_MEMBERS.get(name) is custom_forecast]
+    chunks = _chunks(dataset)
 
-    def work(i: int) -> tuple[np.ndarray, str]:
-        ts = dataset.series[i]
-        h = config.horizon if config.horizon is not None else ts.horizon
+    def one(ts, h: int, batched: Mapping[str, np.ndarray] | None) -> tuple[np.ndarray, str]:
         match = matches.get(ts.id)
         if match is not None:
             if len(match.forecast) >= h:
@@ -146,9 +194,28 @@ def pipeline_forecast(dataset: Dataset, config: PipelineConfig, threads: int = 1
                 f"match for {ts.id!r} provides {len(match.forecast)} values but the "
                 f"horizon is {h}; using the ensemble instead"
             )
-        return _ensemble_values(ts, h, config.members, external_tables)
+        return _ensemble_values(ts, h, config.members, external_tables, batched)
 
-    results = indexed_map(work, len(dataset), threads)
+    def work(c: int) -> list[tuple[np.ndarray, str]]:
+        chunk = dataset.series[slice(*chunks[c])]
+        horizons = [config.horizon if config.horizon is not None else ts.horizon
+                    for ts in chunk]
+        # The kernel takes the series that reach the ensemble, by horizon;
+        # shorter ones get the per-series function and its naive fallback.
+        by_horizon: dict[int, list[int]] = {}
+        for j, (ts, h) in enumerate(zip(chunk, horizons)):
+            match = matches.get(ts.id)
+            if chunked and len(ts) >= 2 * h + 4 and (match is None or len(match.forecast) < h):
+                by_horizon.setdefault(h, []).append(j)
+        batched: list[dict[str, np.ndarray] | None] = [None] * len(chunk)
+        for h, picked in by_horizon.items():
+            rows, _ = _custom_rows([chunk[j].values for j in picked], h)
+            for j, row in zip(picked, rows):
+                batched[j] = dict.fromkeys(chunked, row)
+        return [one(ts, h, b) for ts, h, b in zip(chunk, horizons, batched)]
+
+    results = [r for part in indexed_map(work, len(chunks), threads, _POOL_MIN_CHUNKS)
+               for r in part]
     out: dict[str, Forecast] = {}
     for ts, (values, method) in zip(dataset, results):
         # Checked before the clip, which would turn a -inf into 0.

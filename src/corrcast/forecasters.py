@@ -14,15 +14,22 @@ The decomposition method splits a series into trend/seasonal/residual with
 a short centered moving average (period 2), forecasts trend and residual
 either by linear extrapolation or by repeating recent values (picking the
 combination by holdout MASE), forecasts the seasonal part seasonal-naive,
-and sums the three. It decomposes the input twice, once without the holdout
-to pick the combination and once in full to forecast it, and it computes
-each (component, strategy) forecast once per decomposition.
+and sums the three. One kernel does this for a whole chunk of series held
+end to end in one flat array: one moving average over the chunk, seasonal
+phase means as segment reductions, one gather of every series' last trend
+and residual values, and line fits, forecasts and scores as row
+reductions. It decomposes each series twice, without the holdout to pick
+the combination and in full to forecast it, and it scores the four
+combinations of each series at once. A series gets the same bits in any
+chunk. ``custom_forecast`` and ``decompose_classical`` are its one-series
+case.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -163,13 +170,55 @@ def _ses_levels(series: np.ndarray, kernel) -> np.ndarray:
 _SES_GRID = _ses_kernel(SES_ALPHA_GRID)
 
 
+def _trend_filter(period: int) -> np.ndarray:
+    """Weights of the centred moving average of ``period``: a 2 x period
+    average (period + 1 weights) for an even period, a plain one otherwise."""
+    if period % 2 == 0:
+        filt = np.full(period + 1, 1.0 / period)
+        filt[0] = filt[-1] = 0.5 / period
+        return filt
+    return np.full(period, 1.0 / period)
+
+
+_TREND_FILTER_2 = _trend_filter(2)
+_PAD = np.zeros(1)
+
+
+def _phase_means(detrended: np.ndarray, lo: np.ndarray, hi: np.ndarray, period: int) -> np.ndarray:
+    """Seasonal means, centred to sum to zero over one period, of the series
+    whose detrended interiors are ``detrended[lo[r]:hi[r]]``, as a
+    (rows, period) array whose column p is the phase of positions t with
+    t % period == p.
+
+    Each interior spans a period, starts at series position period // 2
+    and at a multiple of period in ``detrended``, so phase p is one residue
+    of the flat index for every row. Each residue is summed as segments of
+    its strided view; the segments may overlap, and whatever lies between
+    them is summed into values that are thrown away. ``detrended`` must run
+    at least a period past the largest ``hi``, so that every segment bound
+    is inside each view.
+    """
+    bounds = np.empty(2 * lo.size, dtype=np.intp)
+    bounds[0::2] = lo
+    bounds[1::2] = hi
+    means = np.empty((lo.size, period))
+    for q in range(period):
+        # First index of the view at or after each bound.
+        idx = (bounds + (period - 1 - q)) // period
+        means[:, (q + period // 2) % period] = (np.add.reduceat(detrended[q::period], idx)[0::2]
+                                                / (idx[1::2] - idx[0::2]))
+    means -= np.add.reduce(means, axis=1, keepdims=True) / period
+    return means
+
+
 def decompose_classical(series, period: int = 2) -> Decomposition:
     """Classical additive decomposition by centered moving average.
 
     For the default period 2 the trend filter has weights (0.25, 0.5, 0.25)
     and is undefined at the first and last position. The seasonal component
     is the per-phase mean of the detrended values, centered to sum to zero
-    over one period and repeated over the series.
+    over one period and repeated over the series. This is the decomposition
+    ``custom_forecast`` makes, for one series.
     """
     series = np.asarray(series, dtype=np.float64)
     n = series.size
@@ -181,25 +230,38 @@ def decompose_classical(series, period: int = 2) -> Decomposition:
     if n < shortest:
         raise ValueError(f"series too short to decompose: {n} points, period {period} "
                          f"needs at least {shortest}")
-
-    if period % 2 == 0:
-        filt = np.full(period + 1, 1.0 / period)
-        filt[0] = filt[-1] = 0.5 / period
-    else:
-        filt = np.full(period, 1.0 / period)
     margin = period // 2
     trend = np.full(n, np.nan)
-    trend[margin : n - margin] = np.convolve(series, filt, mode="valid")
-
-    # The defined interior starts at position margin, so phase p starts at
-    # interior index (p - margin) % period.
-    detrended = series[margin : n - margin] - trend[margin : n - margin]
-    phases = [detrended[(p - margin) % period :: period] for p in range(period)]
-    phase_means = np.array([phase.sum() / phase.size for phase in phases])
-    phase_means -= phase_means.sum() / period
-    seasonal = phase_means[np.arange(n) % period]
+    # The filter is symmetric, so this is its convolution.
+    trend[margin : n - margin] = np.correlate(series, _trend_filter(period), mode="valid")
+    interior = n - 2 * margin
+    detrended = np.zeros(interior + period)
+    np.subtract(series[margin : n - margin], trend[margin : n - margin], out=detrended[:interior])
+    means = _phase_means(detrended, np.array([0]), np.array([interior]), period)[0]
+    seasonal = means[np.arange(n) % period]
     residual = series - trend - seasonal
     return Decomposition(trend=trend, seasonal=seasonal, residual=residual, period=period)
+
+
+def _line_terms(widths: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per tail width w: the mean position (w + 1) / 2, the positions 1..w
+    centred on it and right-aligned in ``columns`` columns (one row per
+    width), and the sum of their squares, w (w^2 - 1) / 12. All are exact."""
+    x_mean = (widths + 1) / 2.0
+    centred = (widths - x_mean)[:, None] + np.arange(1 - columns, 1)
+    return x_mean, centred, widths * (widths * widths - 1.0) / 12.0
+
+
+def _line_rows(tails: np.ndarray, widths: np.ndarray, terms, h: int, gap: int) -> np.ndarray:
+    """``linear_extrapolate`` of every row of ``tails`` at once, as an
+    (rows, h) array. Row r's tail is its last ``widths[r]`` values, and the
+    columns before them hold 0; ``terms`` are ``_line_terms`` of the rows'
+    widths. Each row's sums are its own row reductions, so its bits do not
+    depend on the other rows."""
+    x_mean, centred, sum_squares = terms
+    slope = np.add.reduce(tails * centred, axis=1) / sum_squares
+    intercept = np.add.reduce(tails, axis=1) / widths - slope * x_mean
+    return slope[:, None] * ((widths + (gap + 1))[:, None] + np.arange(h)) + intercept[:, None]
 
 
 def linear_extrapolate(tail, h: int, gap: int = 0) -> np.ndarray:
@@ -217,53 +279,105 @@ def linear_extrapolate(tail, h: int, gap: int = 0) -> np.ndarray:
         raise ValueError(f"need at least 2 values to fit a line, got {w}")
     if h < 1:
         raise ValueError(f"horizon must be positive, got {h}")
-    x_mean = (w + 1) / 2.0
-    centred = np.arange(1.0, w + 1.0) - x_mean
-    slope = (centred @ tail) / (w * (w * w - 1) / 12.0)  # centred @ centred
-    intercept = tail.sum() / w - slope * x_mean
-    xf = np.arange(w + 1 + gap, w + h + 1 + gap, dtype=np.float64)
-    return slope * xf + intercept
+    widths = np.array([w])
+    return _line_rows(tail[None, :], widths, _line_terms(widths, w), h, gap)[0]
 
 
-def _strategy_forecast(dec: Decomposition, component: np.ndarray, strategy: str, h: int) -> np.ndarray:
-    """Forecast one component from its last STRATEGY_TAIL defined values.
+# (trend, residual) strategies in scoring order, the first winning ties;
+# strategy 0 is the line, 1 the repeat.
+_STRATEGY_COMBOS = (("linear", "linear"), ("linear", "repeat"),
+                    ("repeat", "linear"), ("repeat", "repeat"))
+_TREND_STRATEGY = np.array([0, 0, 1, 1])
+_RESID_STRATEGY = np.array([0, 1, 0, 1])
+# _line_terms of every tail width up to STRATEGY_TAIL.
+_TAIL_TERMS = _line_terms(np.arange(STRATEGY_TAIL + 1), STRATEGY_TAIL)
 
-    The defined values end ``period // 2`` positions before the series end;
-    the line skips those positions so the extrapolation stays anchored to
-    true series positions.
+
+def _custom_rows(series: Sequence[np.ndarray], h: int) -> tuple[np.ndarray, np.ndarray]:
+    """``custom_forecast`` of each of ``series`` (float64 arrays at least
+    2h + 4 long), as the rows of a (K, h) array, with each series' chosen
+    combo as an index into ``_STRATEGY_COMBOS``.
+
+    The series are held end to end in one flat array, each from an even
+    position (an odd-length series is followed by one padding value). One
+    moving average gives the period-2 trend of all of them; the values it
+    takes across a join between two series are never read. Each series is
+    decomposed twice, without its last h points (the fit) and in full, and
+    both decompositions read that one trend. Every per-series sum is a
+    segment or row reduction over that series' values alone, so a series'
+    output has the same bits whatever else is in the call, and an overflow
+    in one series stays in its own rows. The caller checks the output for
+    non-finite values.
     """
-    margin = dec.period // 2
-    end = component.size - margin
-    tail = component[max(margin, end - STRATEGY_TAIL) : end]
-    if strategy == "linear":
-        return linear_extrapolate(tail, h, gap=margin)
-    return tail[np.arange(h) % tail.size]
+    k = len(series)
+    lengths = np.fromiter(map(len, series), np.intp, k)
+    if k == 1:
+        flat = series[0]
+        starts = np.zeros(1, dtype=np.intp)
+    else:
+        flat = np.concatenate([part for y in series
+                               for part in ((y, _PAD) if y.size % 2 else (y,))])
+        starts = np.add.accumulate(lengths + (lengths & 1)) - (lengths + (lengths & 1))
+    # Rows 0..k-1 decompose the fits, rows k..2k-1 the full series. Row r's
+    # interior, positions 1 to its length - 2, is detrended[lo:hi], and
+    # series position t sits at flat position lo + t.
+    lo = np.concatenate((starts, starts))
+    hi = np.concatenate((lengths - h, lengths)) + lo - 2
+    with np.errstate(all="ignore"):
+        # The filter is symmetric, so this is its convolution.
+        trend = np.correlate(flat, _TREND_FILTER_2, mode="valid")
+        # detrended[i] and trend[i] belong to flat position i + 1; two
+        # trailing zeros keep every segment bound inside the phase views.
+        detrended = np.zeros(flat.size)
+        np.subtract(flat[1:-1], trend, out=detrended[:-2])
+        means = _phase_means(detrended, lo, hi, 2)
 
+        # Per row, the flat positions from STRATEGY_TAIL before the
+        # interior's end to h past the row's end: the tail, the undefined
+        # last position, then the forecast steps. lo is even, so a
+        # position's seasonal phase is its own parity.
+        pos = hi[:, None] + np.arange(1 - STRATEGY_TAIL, h + 2)
+        seasonal = means.ravel()[pos % 2 + np.arange(0, 4 * k, 2)[:, None]]
+        # The last STRATEGY_TAIL defined trend and residual values of each
+        # row, right-aligned; shorter interiors leave zeros on the left.
+        at = pos[:, :STRATEGY_TAIL] - 1
+        tails = np.empty((2, 2 * k, STRATEGY_TAIL))
+        np.take(trend, at, out=tails[0], mode="clip")
+        np.take(detrended, at, out=tails[1], mode="clip")
+        tails[1] -= seasonal[:, :STRATEGY_TAIL]
+        tails = tails.reshape(4 * k, STRATEGY_TAIL)
+        widths = np.minimum(hi - lo, STRATEGY_TAIL)
+        widths = np.concatenate((widths, widths))
+        if np.minimum.reduce(widths) < STRATEGY_TAIL:
+            tails[np.arange(STRATEGY_TAIL) < (STRATEGY_TAIL - widths)[:, None]] = 0.0
+        # Strategy forecasts, indexed (strategy, component, row, step): the
+        # line skips the one undefined end position, the repeat cycles the tail.
+        strategies = np.empty((2, 4 * k, h))
+        strategies[0] = _line_rows(tails, widths, [t[widths] for t in _TAIL_TERMS], h, gap=1)
+        strategies[1] = tails.ravel()[(STRATEGY_TAIL * np.arange(1, 4 * k + 1) - widths)[:, None]
+                                      + np.arange(h) % widths[:, None]]
+        strategies = strategies.reshape(2, 2, 2 * k, h)
+        seasonal = seasonal[:, STRATEGY_TAIL + 1:]
 
-_STRATEGIES = ("linear", "repeat")
-# (trend, residual) strategies in scoring order, the first winning ties.
-_STRATEGY_COMBOS = tuple((t, r) for t in _STRATEGIES for r in _STRATEGIES)
-
-
-def _seasonal_forecast(dec: Decomposition, h: int) -> np.ndarray:
-    """The seasonal component continued past the series end (seasonal naive)."""
-    return dec.seasonal[(dec.seasonal.size + np.arange(h)) % dec.period]
-
-
-def _best_combo(fit: np.ndarray, val: np.ndarray) -> tuple[str, str]:
-    """The strategy combo whose forecast from ``fit`` has the lowest MASE
-    (lag 1) on ``val``. Ties, and an undefined MASE, give the first combo."""
-    h = val.size
-    dec = decompose_classical(fit)
-    trend = {s: _strategy_forecast(dec, dec.trend, s, h) for s in _STRATEGIES}
-    resid = {s: _strategy_forecast(dec, dec.residual, s, h) for s in _STRATEGIES}
-    candidates = np.array([trend[t] + resid[r] for t, r in _STRATEGY_COMBOS])
-    candidates += _seasonal_forecast(dec, h)
-    scale = np.abs(fit[1:] - fit[:-1]).mean()
-    if not scale > 0.0:
-        return _STRATEGY_COMBOS[0]
-    scores = np.mean(np.abs(val - candidates), axis=1) / scale
-    return _STRATEGY_COMBOS[int(np.argmin(scores))]
+        candidates = (strategies[_TREND_STRATEGY, 0, :k]
+                      + strategies[_RESID_STRATEGY, 1, :k])
+        candidates += seasonal[:k]
+        holdout = flat[pos[:k, STRATEGY_TAIL + 1:]]
+        diffs = np.subtract(flat[1:], flat[:-1])
+        np.abs(diffs, out=diffs)
+        # The fit's differences, diffs[start:start + length - h - 1].
+        segments = np.empty(2 * k, dtype=np.intp)
+        segments[0::2] = starts
+        segments[1::2] = hi[:k] + 1
+        scale = np.add.reduceat(diffs, segments)[0::2] / (lengths - h - 1)
+        scores = np.add.reduce(np.abs(holdout - candidates), axis=2) / h / scale
+        # Ties, and an undefined scale, give the first combo.
+        combo = scores.argmin(axis=0) * (scale > 0.0)
+        full = np.arange(k, 2 * k)
+        out = (strategies[_TREND_STRATEGY[combo], 0, full]
+               + strategies[_RESID_STRATEGY[combo], 1, full])
+        out += seasonal[k:]
+    return out, combo
 
 
 def custom_forecast(series, h: int) -> np.ndarray:
@@ -285,9 +399,4 @@ def custom_forecast(series, h: int) -> np.ndarray:
             f"method with horizon {h}; falling back to naive"
         )
         return naive_forecast(series, h)
-
-    trend_strategy, resid_strategy = _best_combo(series[:-h], series[-h:])
-    dec = decompose_classical(series)
-    return (_strategy_forecast(dec, dec.trend, trend_strategy, h)
-            + _strategy_forecast(dec, dec.residual, resid_strategy, h)
-            + _seasonal_forecast(dec, h))
+    return _custom_rows([series], h)[0][0]

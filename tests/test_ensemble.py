@@ -20,7 +20,8 @@ from corrcast import (
     pipeline_forecast,
     write_forecast_csv,
 )
-from corrcast import ensemble
+from corrcast import custom_forecast, ensemble, write_values_csv
+from corrcast.cli import main
 from conftest import make_planted
 
 
@@ -246,11 +247,103 @@ class TestEnsembleCombine:
                 pipeline_forecast(d, cfg)
 
     def test_overflowing_median_is_not_clipped_to_zero(self):
-        # The mean of the two middle members overflows to -inf; the check
-        # before the clip rejects it instead of clipping it to 0.
+        # The mean of the two middle members overflows to -inf. The series
+        # gets the naive fallback, with a warning naming it, instead of a
+        # median clipped to 0.
         d = Dataset([TimeSeries("A", np.arange(1.0, 40.0))])
         outputs = {"m0": _member(np.full(2, -1.7e308)), "m1": _member(np.full(2, -1.7e308))}
         with mock.patch.dict(ensemble.BUILTIN_MEMBERS, outputs):
             cfg = PipelineConfig(correlator=None, members=("m0", "m1"), horizon=2)
-            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-                pipeline_forecast(d, cfg)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = pipeline_forecast(d, cfg)
+        assert [str(w.message) for w in caught] == [
+            "ensemble median overflows on 'A'; falling back to naive"]
+        assert out["A"].values.tolist() == [39.0, 39.0]
+        assert out["A"].method == "Naive"
+
+
+# --- chunks, and the decomposition member's chunk kernel ----------------------
+
+def _mixed(rng, n=40):
+    """Random walks of 5-400 points with horizons 1-14 of their own: some
+    too short for the decomposition member, some odd and some even."""
+    return Dataset([TimeSeries(f"M{i}", 500 + np.cumsum(rng.normal(0, 1, int(k))),
+                               horizon=int(rng.integers(1, 15)))
+                    for i, k in enumerate(rng.integers(5, 400, n))])
+
+
+class TestChunks:
+    def test_contiguous_within_budget(self, rng, monkeypatch):
+        monkeypatch.setattr(ensemble, "_CHUNK_POINTS", 500)
+        d = Dataset([*_mixed(rng), TimeSeries("long", np.arange(1.0, 1201.0))])
+        chunks = ensemble._chunks(d)
+        assert chunks[0][0] == 0 and chunks[-1] == (len(d) - 1, len(d))
+        for (_, end), (first, _) in zip(chunks, chunks[1:]):
+            assert end == first
+        for first, end in chunks[:-1]:
+            assert sum(len(ts) for ts in d.series[first:end]) <= 500
+        assert ensemble._chunks(Dataset([])) == []
+
+    @pytest.mark.parametrize("budget", [1, 700, 2**15])
+    def test_custom_member_is_custom_forecast_per_series(self, rng, monkeypatch, budget):
+        # Whatever the chunks, each series gets the bits and the warnings
+        # custom_forecast gives it alone, in dataset order.
+        d = _mixed(rng)
+        want, want_warned = {}, []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for ts in d:
+                want[ts.id] = np.maximum(custom_forecast(ts.values, ts.horizon), 0.0)
+        want_warned = [str(w.message) for w in caught]
+        assert any("too short" in text for text in want_warned)
+        monkeypatch.setattr(ensemble, "_CHUNK_POINTS", budget)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = pipeline_forecast(d, PipelineConfig(correlator=None, members=("custom",)))
+        assert [str(w.message) for w in caught] == want_warned
+        for ts in d:
+            assert out[ts.id].values.tobytes() == want[ts.id].tobytes(), ts.id
+
+
+def _overflow_dataset(n=40):
+    rng = np.random.default_rng(11)
+    return Dataset([TimeSeries("A", 50 + np.cumsum(rng.normal(0, 1, n))),
+                    TimeSeries("B", 1.5e308 * np.linspace(0.5, 1, n)),
+                    TimeSeries("C", 50 + np.cumsum(rng.normal(0, 1, n)))])
+
+
+class TestOverflowingSeries:
+    def test_only_that_series_fails(self):
+        # custom overflows on B, which leaves naive and SES; the mean of the
+        # two overflows too, so B gets the naive fallback. A and C are as
+        # they are without B.
+        d = _overflow_dataset()
+        cfg = PipelineConfig(correlator=None, horizon=14)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = pipeline_forecast(d, cfg)
+        assert [str(w.message) for w in caught] == [
+            "member 'custom' failed on series 'B': forecast for 'B' must be a finite "
+            "non-empty vector",
+            "ensemble median overflows on 'B'; falling back to naive",
+        ]
+        assert out["B"].method == "Naive"
+        assert np.array_equal(out["B"].values, naive_forecast(d["B"].values, 14))
+        alone = pipeline_forecast(Dataset([d["A"], d["C"]]), cfg)
+        for sid in ("A", "C"):
+            assert out[sid].values.tobytes() == alone[sid].values.tobytes()
+            assert out[sid].method == alone[sid].method == "Ensemble"
+
+    def test_validate_exits_0(self, tmp_path):
+        # At holdout horizon 7 the 33 training points are long enough for
+        # the decomposition member.
+        data = tmp_path / "values.csv"
+        write_values_csv(_overflow_dataset(), data)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main(["validate", "--data", str(data), "--no-correlator", "--horizon", "7",
+                       "--out", str(out), "--no-timestamp"])
+        assert rc == 0
+        assert (out / "forecast.csv").exists()

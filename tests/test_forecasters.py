@@ -1,8 +1,11 @@
 """Forecaster tests; decomposition and extrapolation are checked against
 independently written loop/closed-form implementations, and the
-decomposition member against its earlier polyfit/nanmean formulation."""
+decomposition member's chunk kernel against its earlier polyfit/nanmean
+formulation, one series at a time, and against itself over any grouping of
+series."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +22,10 @@ from corrcast import (
 from corrcast import forecasters
 from corrcast.forecasters import (
     _SES_GRID,
+    _STRATEGY_COMBOS,
     SES_ALPHA_GRID,
     Decomposition,
-    _best_combo,
+    _custom_rows,
     _ses_kernel,
     _ses_levels,
 )
@@ -197,13 +201,13 @@ def old_custom_forecast(series, h):
 
 
 @st.composite
-def custom_cases(draw):
-    """(series, h) for the decomposition member: lengths 2h + 3 to 600,
-    random walks with and without an alternating seasonal part, two-decimal
-    values, constant series (undefined MASE) and exact lines (the residual
-    is exactly 0, so both residual strategies tie), offsets up to 1e9."""
+def custom_series(draw, h):
+    """One series for the decomposition member at horizon h: lengths 2h + 3
+    to 600, random walks with and without an alternating seasonal part,
+    two-decimal values, constant series (undefined MASE) and exact lines
+    (the residual is exactly 0, so both residual strategies tie), offsets
+    up to 1e9."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    h = draw(st.sampled_from([1, 7, 14]))
     n = draw(st.one_of(st.integers(2 * h + 3, 2 * h + 8), st.integers(2 * h + 9, 600)))
     kind = draw(st.sampled_from(["walk", "seasonal", "cents", "constant", "line"]))
     offset = draw(st.sampled_from([0.0, 3.7, -1e6, 1e9, -1e9]))
@@ -220,7 +224,24 @@ def custom_cases(draw):
         # Whole offsets and quarter slopes keep every filter sum exact.
         offset = float(round(offset))
         y = draw(st.integers(-40, 40)) / 4.0 * t
-    return offset + y, h
+    return offset + y
+
+
+@st.composite
+def custom_chunks(draw):
+    """(series, h): one to five ``custom_series`` that share a horizon."""
+    h = draw(st.sampled_from([1, 7, 14]))
+    return draw(st.lists(custom_series(h), min_size=1, max_size=5)), h
+
+
+def kernel_rows(ys, h):
+    """The chunk kernel's rows, and its combos by name."""
+    out, combo = _custom_rows(ys, h)
+    return out, [_STRATEGY_COMBOS[c] for c in combo]
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestNaive:
@@ -468,42 +489,123 @@ class TestCustom:
         assert np.array_equal(custom_forecast(y, 14), custom_forecast(y, 14))
 
     def test_decomposes_fit_then_full_series_once_each(self, rng, monkeypatch):
-        sizes = []
-        decompose = forecasters.decompose_classical
+        # One call of the phase means takes both interiors: the series
+        # without its holdout, then the full series. Each decomposition is
+        # decompose_classical's, bit for bit.
+        calls = []
+        phase_means = forecasters._phase_means
 
-        def counting(series, *args, **kwargs):
-            sizes.append(np.asarray(series).size)
-            return decompose(series, *args, **kwargs)
+        def recording(detrended, lo, hi, period):
+            means = phase_means(detrended, lo, hi, period)
+            calls.append((lo.tolist(), hi.tolist(), means))
+            return means
 
-        monkeypatch.setattr(forecasters, "decompose_classical", counting)
-        custom_forecast(np.cumsum(rng.normal(0.0, 1.0, 300)), 14)
-        assert sizes == [300 - 14, 300]
+        monkeypatch.setattr(forecasters, "_phase_means", recording)
+        y = np.cumsum(rng.normal(0.0, 1.0, 300))
+        custom_forecast(y, 14)
+        assert [(lo, hi) for lo, hi, _ in calls] == [([0, 0], [300 - 14 - 2, 300 - 2])]
+        monkeypatch.setattr(forecasters, "_phase_means", phase_means)
+        means = calls[0][2]
+        assert same_bits(means[0], decompose_classical(y[:-14]).seasonal[:2])
+        assert same_bits(means[1], decompose_classical(y).seasonal[:2])
 
     def test_undefined_mase_takes_first_combo(self):
-        y = np.full(40, 7.0)
-        assert _best_combo(y[:-14], y[-14:]) == ("linear", "linear")
+        assert kernel_rows([np.full(40, 7.0)], 14)[1] == [("linear", "linear")]
 
     def test_tied_residual_strategies_take_first(self):
         # An exact line: the residual is exactly 0, so both residual
         # strategies score the same and linear, listed first, wins.
-        y = 3.0 + 0.25 * np.arange(60)
-        assert _best_combo(y[:-7], y[-7:]) == ("linear", "linear")
+        assert kernel_rows([3.0 + 0.25 * np.arange(60)], 7)[1] == [("linear", "linear")]
 
 
 class TestCustomAgainstPrevious:
-    """custom_forecast against its earlier formulation (old_custom_forecast)."""
+    """The chunk kernel against the decomposition member's earlier
+    formulation (old_custom_forecast), and against itself."""
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(custom_cases())
+    @given(custom_chunks())
     def test_same_choice_and_forecast(self, case):
-        y, h = case
-        if y.size < 2 * h + 4:
-            with pytest.warns(UserWarning, match="falling back to naive"):
-                assert np.array_equal(custom_forecast(y, h), naive_forecast(y, h))
+        ys, h = case
+        long = []
+        for y in ys:
+            if y.size < 2 * h + 4:
+                with pytest.warns(UserWarning, match="falling back to naive"):
+                    assert np.array_equal(custom_forecast(y, h), naive_forecast(y, h))
+            else:
+                long.append(y)
+        if not long:
             return
-        want_combo, scores, want = old_custom_forecast(y, h)
-        combo = _best_combo(y[:-h], y[-h:])
-        assert combo == want_combo, scores
-        # Relative agreement, with an absolute floor of 1e-12 near 0.
-        assert np.all(np.abs(custom_forecast(y, h) - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+        rows, combos = kernel_rows(long, h)
+        for y, row, combo in zip(long, rows, combos):
+            want_combo, scores, want = old_custom_forecast(y, h)
+            assert combo == want_combo, scores
+            # Relative agreement, with an absolute floor of 1e-12 near 0.
+            assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+            assert same_bits(custom_forecast(y, h), row)
+        # Any grouping gives each series the same bits: reversed order, and
+        # a split at every boundary.
+        assert same_bits(kernel_rows(long[::-1], h)[0][::-1], rows)
+        for cut in range(1, len(long)):
+            parts = np.vstack((kernel_rows(long[:cut], h)[0], kernel_rows(long[cut:], h)[0]))
+            assert same_bits(parts, rows), cut
+
+
+def _adversarial(h):
+    """Series at the kernel's edges for horizon h: the shortest length it
+    takes, odd and even lengths, flat offsets, a constant, an exact line,
+    1e9 offsets, and a long walk."""
+    rng = np.random.default_rng(h)
+    shortest = 2 * h + 4
+    t = np.arange(300, dtype=np.float64)
+    return [
+        np.cumsum(rng.normal(0.0, 1.0, shortest)),
+        100.0 + np.cumsum(rng.normal(0.0, 1.0, shortest + 1)),
+        np.full(shortest + 2, 5.0),
+        np.full(shortest + 3, -1e9),
+        3.0 + 0.25 * t[: shortest + 5],
+        1e9 + np.cumsum(rng.normal(0.0, 1.0, 97)),
+        -1e9 + np.cumsum(rng.normal(0.0, 1.0, 98)),
+        np.round(50.0 + np.cumsum(rng.normal(0.0, 1.0, 300)), 2),
+        np.cumsum(rng.normal(0.0, 1.0, 3001)),
+    ]
+
+
+class TestCustomChunkEdges:
+    @pytest.mark.parametrize("h", [1, 2, 7, 14])
+    def test_edges_alone_together_and_split(self, h):
+        ys = _adversarial(h)
+        rows, combos = kernel_rows(ys, h)
+        for i, (y, row, combo) in enumerate(zip(ys, rows, combos)):
+            want_combo, scores, want = old_custom_forecast(y, h)
+            assert combo == want_combo, (i, scores)
+            assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(np.abs(want), 1.0)), i
+            assert same_bits(kernel_rows([y], h)[0][0], row), i
+        assert combos[2] == combos[3] == ("linear", "linear")  # constant: scale 0
+        assert combos[4] == ("linear", "linear")  # exact line: tied residual
+        assert same_bits(kernel_rows(ys[::-1], h)[0][::-1], rows)
+        for cut in range(1, len(ys)):
+            parts = np.vstack((kernel_rows(ys[:cut], h)[0], kernel_rows(ys[cut:], h)[0]))
+            assert same_bits(parts, rows), cut
+
+    @pytest.mark.parametrize("h", [1, 7, 14])
+    def test_one_below_the_shortest_falls_back(self, rng, h):
+        y = np.cumsum(rng.normal(0.0, 1.0, 2 * h + 3))
+        with pytest.warns(UserWarning, match=f"series of length {2 * h + 3} too short"):
+            assert np.array_equal(custom_forecast(y, h), naive_forecast(y, h))
+
+    def test_overflow_stays_in_its_own_row(self):
+        # The middle series overflows; its neighbours keep the bits they get
+        # alone, and the kernel raises no floating-point warning.
+        rng = np.random.default_rng(3)
+        ys = [50.0 + np.cumsum(rng.normal(0.0, 1.0, 41)),
+              1.5e308 * np.linspace(0.5, 1, 40),
+              50.0 + np.cumsum(rng.normal(0.0, 1.0, 40))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, _ = kernel_rows(ys, 14)
+            alone = [kernel_rows([y], 14)[0][0] for y in ys]
+        assert not np.isfinite(rows[1]).all()
+        assert np.isfinite(rows[0]).all() and np.isfinite(rows[2]).all()
+        for row, want in zip(rows, alone):
+            assert same_bits(row, want)

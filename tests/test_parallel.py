@@ -1,5 +1,5 @@
-"""Deterministic parallel map: argument checks, and warnings that do not
-depend on the worker count."""
+"""Deterministic parallel map: argument checks, when it forks, and output
+and warnings that do not depend on the worker count."""
 
 import os
 import subprocess
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from corrcast import Dataset, PipelineConfig, TimeSeries, pipeline_forecast, write_values_csv
+from corrcast import _parallel, ensemble
 from corrcast._parallel import indexed_map
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -22,12 +23,80 @@ def test_threads_below_one_raise(threads):
         indexed_map(abs, 4, threads)
 
 
+def _pid(i):
+    return os.getpid()
+
+
+@pytest.mark.parametrize("affinity, cpus", [({0}, 8), (None, 1)])
+def test_one_usable_cpu_runs_in_process(monkeypatch, affinity, cpus):
+    """The workers are capped by the affinity mask where there is one, else
+    by the CPU count; a map left with one worker does not fork."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert indexed_map(_pid, 6, threads=2) == [os.getpid()] * 6
+
+
+def test_one_item_runs_in_process():
+    assert indexed_map(_pid, 1, threads=4) == [os.getpid()]
+
+
+def test_two_usable_cpus_fork(monkeypatch):
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+    pids = indexed_map(_pid, 6, threads=2)
+    assert len(pids) == 6 and os.getpid() not in pids
+
+
+@pytest.mark.parametrize("n, threads, forks", [(5, 2, False), (6, 2, True), (4, 3, False),
+                                               (4, 8, True), (3, 8, False)])
+def test_fork_only_to_take_min_saved_items_off(monkeypatch, n, threads, forks):
+    # A pool takes n less ceil(n / workers) items off this process; the
+    # workers are capped at n and at the usable CPUs (4 here).
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 4)
+    pids = indexed_map(_pid, n, threads=threads, min_saved=3)
+    assert (os.getpid() not in pids) == forks
+
+
 def _short_series(n=60, seed=5):
     """Random walks of 15-39 points: at horizon 7 the decomposition member
     warns on those under 18, with one text per length."""
     rng = np.random.default_rng(seed)
     return Dataset([TimeSeries(f"S{i}", 50 + np.cumsum(rng.normal(0, 1, int(k))))
                     for i, k in enumerate(rng.integers(15, 40, n))])
+
+
+# A chunk budget that splits _short_series (about 1.6k points) into enough
+# chunks that a pool of two workers takes _POOL_MIN_CHUNKS of them off the
+# main process, so that a run at threads 2 forks.
+SMALL_CHUNK = 200
+
+
+@pytest.fixture
+def small_chunks(monkeypatch, tmp_path):
+    """Chunks of SMALL_CHUNK points, two usable CPUs whatever the host has,
+    and the pids that ran the decomposition kernel, read back from a file
+    the workers append to."""
+    monkeypatch.setattr(ensemble, "_CHUNK_POINTS", SMALL_CHUNK)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+    chunks = len(ensemble._chunks(_short_series()))
+    assert chunks - -(-chunks // 2) >= ensemble._POOL_MIN_CHUNKS
+    log = tmp_path / "pids"
+    kernel = ensemble._custom_rows
+
+    def recording(series, h):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return kernel(series, h)
+
+    monkeypatch.setattr(ensemble, "_custom_rows", recording)
+
+    def pids():
+        pids = {int(line) for line in log.read_text().split()}
+        log.unlink()
+        return pids
+    return pids
 
 
 def _warned(action, threads):
@@ -39,8 +108,11 @@ def _warned(action, threads):
 
 
 @pytest.mark.parametrize("action", ["always", "default"])
-def test_pipeline_warnings_equal_at_threads_1_and_2(action):
-    one, two = _warned(action, 1), _warned(action, 2)
+def test_pipeline_warnings_equal_at_threads_1_and_2(small_chunks, action):
+    one = _warned(action, 1)
+    assert small_chunks() == {os.getpid()}
+    two = _warned(action, 2)
+    assert os.getpid() not in small_chunks()
     assert one == two
     short = [w for w in one if "too short for the decomposition" in w[1]]
     assert len(short) > 1
@@ -50,6 +122,20 @@ def test_pipeline_warnings_equal_at_threads_1_and_2(action):
         assert len(set(one)) < len(one)  # some lengths repeat
 
 
+def test_pipeline_output_equal_at_threads_1_and_2(small_chunks):
+    cfg = PipelineConfig(correlator=None, horizon=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        one = pipeline_forecast(_short_series(), cfg, threads=1)
+        assert small_chunks() == {os.getpid()}
+        two = pipeline_forecast(_short_series(), cfg, threads=2)
+        assert os.getpid() not in small_chunks()
+    assert list(one) == list(two)
+    for sid in one:
+        assert one[sid].values.tobytes() == two[sid].values.tobytes()
+        assert one[sid].method == two[sid].method
+
+
 def test_cli_stderr_equal_at_threads_1_and_2(tmp_path):
     data = tmp_path / "values.csv"
     write_values_csv(_short_series(), data)
@@ -57,11 +143,14 @@ def test_cli_stderr_equal_at_threads_1_and_2(tmp_path):
     runs = []
     for threads in ("1", "2"):
         out = tmp_path / f"out{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "corrcast.cli", "validate", "--data", str(data),
-             "--no-correlator", "--horizon", "7", "--out", str(out), "--threads", threads,
-             "--no-timestamp"],
-            env=env, capture_output=True, text=True, timeout=120)
+        argv = ["validate", "--data", str(data), "--no-correlator", "--horizon", "7",
+                "--out", str(out), "--threads", threads, "--no-timestamp"]
+        # The CLI with the chunk budget at SMALL_CHUNK points.
+        script = (f"import sys; from corrcast import ensemble; "
+                  f"ensemble._CHUNK_POINTS = {SMALL_CHUNK}; "
+                  f"from corrcast.cli import main; sys.exit(main({argv!r}))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         runs.append((proc.stdout, proc.stderr, files))
