@@ -42,7 +42,7 @@ from .forecasters import (
     ses_forecast,
 )
 from .metrics import MetricReport, UndefinedMetricError, mase, owa_report, smape
-from .stats import ConstantInputError, RollingStats, pearson, rolling_stats
+from .stats import ConstantInputError, pearson
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "LeakageReport",
     "MetricReport",
     "PipelineConfig",
-    "RollingStats",
     "TimeSeries",
     "UndefinedMetricError",
     "affine_map",
@@ -85,7 +84,6 @@ __all__ = [
     "pearson",
     "pipeline_forecast",
     "read_forecast_csv",
-    "rolling_stats",
     "run_correlator",
     "ses_forecast",
     "smape",

@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -220,36 +218,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _json_lines(node: dict, pad: str, parts: list[str]) -> None:
-    """Append ``json.dumps(node, indent=2, sort_keys=True)``, indented by
-    ``pad``, for a dict of str keys. json indents only in its Python encoder,
-    at about 5 us per entry: finite floats and such dicts are written here,
-    anything else by json."""
-    inner = pad + "  "
-    sep = "{\n" + inner
-    for key, value in sorted(node.items()):
-        head = f"{sep}{encode_basestring_ascii(key)}: "
-        if type(value) is float and math.isfinite(value):
-            parts.append(head + repr(value))
-        elif type(value) is dict and value and set(map(type, value)) == {str}:
-            parts.append(head)
-            _json_lines(value, inner, parts)
-        else:
-            text = json.dumps(value, indent=2, sort_keys=True)
-            parts.append(head + text.replace("\n", "\n" + inner))
-        sep = ",\n" + inner
-    parts.append(f"\n{pad}}}")
-
-
 def _write_json(payload: dict, path: Path, no_timestamp: bool) -> None:
-    """``payload``, a non-empty dict of str keys, as ``json.dumps(payload,
-    indent=2, sort_keys=True)`` and a newline."""
+    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` and a
+    newline, with a timestamp unless ``no_timestamp``."""
     if not no_timestamp:
         payload = dict(payload)
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    parts: list[str] = []
-    _json_lines(payload, "", parts)
-    path.write_text("".join(parts) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_forecasts(forecasts: dict[str, Forecast], out: Path) -> None:

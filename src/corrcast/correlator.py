@@ -8,8 +8,10 @@ position) and walked in order; a candidate whose mapped forecast is too
 dispersed is skipped and the next-best distinct (source, position) pair is
 tried, until one is accepted or the stream is exhausted.
 
-``CorrelationEngine`` is the one way in. Per target, ``sweep`` computes the
-tail stats once, scans once at the loosest threshold and walks the
+``CorrelationEngine`` is the one way in. Its build takes every window's
+mean, std and index coordinates, and every target's query, from one kernel,
+``stats._window_moments``, which also gives a matched window's mean. Per
+target, ``sweep`` scans once at the loosest threshold and walks the
 candidates once per (r_threshold, std_ratio) combo; ``forecast`` is its
 one-combo case, as ``run_correlator`` is of ``sweep_correlator``.
 
@@ -51,7 +53,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import indexed_map
 from .dataset import Dataset
-from .stats import _std_floor, _window_r, rolling_stats
+from .stats import _std_floor, _window_moments, _window_r
 
 # 1-based file position of the last series the bug1 submission variant
 # still processed.
@@ -140,7 +142,8 @@ def _dct_row(w: int, k: int) -> np.ndarray:
 
 class CorrelationEngine:
     """Shared scan state: centered values and window stds of every series,
-    and the sorted projection index over all eligible windows.
+    the sorted projection index over all eligible windows, and every
+    target's query.
 
     Build once per (dataset, window length); individual targets can then be
     scanned independently, which is what the parallel runner exploits.
@@ -165,6 +168,9 @@ class CorrelationEngine:
     # Windows per dense block and gathered values per sparse block: the
     # bound on both paths' temporaries.
     _BLOCK = 2**16
+    # Windows per build block: with its dozen block-sized temporaries, 2^14
+    # keeps forecast-rw's build at the old peak RSS; 2^15 adds 2.7 MB, 2^16 4.3.
+    _BUILD_BLOCK = 2**14
 
     def __init__(self, dataset: Dataset, params: CorrelatorParams):
         if params.past_only:
@@ -177,7 +183,15 @@ class CorrelationEngine:
         n = int(self.offsets[-1])
         if n >= 2**31:
             raise ValueError(f"{n} values exceed the index's int32 positions")
-        self._centered = np.zeros(n)
+        self._centered = np.empty(n)
+        means, peaks = np.empty(len(dataset)), np.empty(len(dataset))
+        # Every target's final window; zeros for a target shorter than w.
+        tails = np.zeros((len(dataset), w))
+        for k, (ts, a) in enumerate(zip(dataset, self.offsets[:-1])):
+            means[k], peaks[k] = ts.values.mean(), np.abs(ts.values).max()
+            np.subtract(ts.values, means[k], out=self._centered[a : a + len(ts)])
+            if len(ts) >= w:
+                tails[k] = ts.values[-w:]
         # Window stds at each window's flat start, the last w - 1 slots of
         # every series 0; _valid marks the eligible windows (valid and
         # non-terminal, of source series), the mask of the full scan.
@@ -189,18 +203,22 @@ class CorrelationEngine:
         # so u2 = 0 and every second coordinate is 0.
         self._u, self._u2 = (_dct_row(w, k) for k in (1, 2))
         # Slacks, from forward-error bounds (eps = 2^-52) for windows with
-        # c <= _COND_MAX. The kernel's r sums the w products of the query q
-        # with globally centered values x (each at most 2c window stds) left
-        # to right, over w times the window std: the sum errs by at most
-        # gamma_w = w eps / 2 times |q|_1 max|x| <= 2cw std, which with the
-        # centering's rounding gives c eps (w + 1) in r, for any summation
-        # order (so the prune's matrix-vector r as well). The query's residual
-        # sum (at most eps w (w + 1) / 2 after double centering) against the
-        # window's offset gives c eps (w + 1) more; the std's rounding and the
-        # division give (w + 6) eps. A coordinate is the same dot product with
-        # its row (|u|_1 <= sqrt(w), |sum(u)| <= w eps) over the std: c eps
-        # (sqrt(w) (w + 1) + 2w); the query's coordinate and the bounds add
-        # under w^2 eps. Both slacks take their bound 4 times over.
+        # c <= _COND_MAX. The centered values x are at most 2c window stds,
+        # each rounded by at most c eps stds. The kernel's r sums the w
+        # products of the query q with x left to right, over w times the std:
+        # the sum errs by at most gamma_w = w eps / 2 times |q|_1 max|x| <=
+        # 2cw std, which with x's rounding gives c eps (w + 1) in r, for any
+        # summation order (so the prune's matrix-vector r as well). The
+        # query's residual sum (at most eps w (w + 1) / 2 after double
+        # centering) against the window's offset gives c eps (w + 1) more. The
+        # two-pass std of x errs by c eps from x's rounding and by (w + 6) eps
+        # from its sums (the mean's error, under w c eps stds, enters squared)
+        # and the division. A coordinate is its row u (|u|_1 <= sqrt(w),
+        # |sum(u)| <= w eps) times the window's deviations from its mean, over
+        # the std: the mean's error meets only sum(u); x's rounding and the
+        # std give 2 c eps sqrt(w), the rest under w^2 eps. The r slack takes
+        # its bound, c eps (2w + 3) + (w + 6) eps, over 3 times, the key
+        # slack its bound over 10 times.
         eps = np.finfo(np.float64).eps
         c = self._COND_MAX
         self._r_slack = 4 * (2 * c * eps * (w + 1) + (w + 6) * eps)
@@ -219,27 +237,28 @@ class CorrelationEngine:
         coord2 = np.zeros(n, dtype=np.int16)
         loose = [np.empty(0, dtype=np.int32)]
         m = 0
-        for ts, a in zip(dataset, self.offsets[:-1]):
-            # Only series with at least one non-terminal window are sources.
-            if len(ts) < 2 * w:
-                continue
-            centered = self._centered[a : a + len(ts)]
-            np.subtract(ts.values, ts.values.mean(), out=centered)
-            st = rolling_stats(ts.values, w)
-            self._std[a : a + st.std.size] = st.std
-            # Eligible windows are valid and non-terminal: start <= n_k - 2w.
-            std = st.std[: len(ts) - 2 * w + 1]
-            eligible = st.valid[: std.size]
-            self._valid[a : a + std.size] = eligible
-            tight = eligible & (std * self._COND_MAX >= np.abs(ts.values).max())
-            loose.append((np.flatnonzero(eligible & ~tight) + a).astype(np.int32))
+        ends = self.offsets[1:]
+        for s in range(0, n - w + 1, self._BUILD_BLOCK):
+            e = min(s + self._BUILD_BLOCK, n - w + 1)
+            mean, std, (keys, bends) = _window_moments(
+                sliding_window_view(self._centered[s : e + w - 1], w), (self._u, self._u2))
+            pos = np.arange(s, e)
+            k = np.searchsorted(ends, pos, side="right")
+            end = ends[k]
+            # A window that runs into the next series has std 0. Eligible
+            # windows are valid and non-terminal (start <= n_k - 2w), the
+            # same rule as the query's with the series' mean added back.
+            std[pos > end - w] = 0.0
+            self._std[s:e] = std
+            eligible = (pos <= end - 2 * w) & (std > _std_floor(mean + means[k]))
+            self._valid[s:e] = eligible
+            tight = eligible & (std * self._COND_MAX >= peaks[k])
+            loose.append(pos[eligible & ~tight].astype(np.int32))
             idx = np.flatnonzero(tight)
             std = std[idx]
-            keys = np.correlate(centered, self._u, mode="valid")[idx] / std
-            bends = np.correlate(centered, self._u2, mode="valid")[idx] / std
-            idx += a
-            packed[m : m + idx.size] = np.floor(keys * self._scale).astype(np.int64) * 2**32 + idx
-            coord2[idx] = np.floor(bends * self._scale2)
+            packed[m : m + idx.size] = (np.floor(keys[idx] / std * self._scale).astype(np.int64)
+                                        * 2**32 + idx + s)
+            coord2[idx + s] = np.floor(bends[idx] / std * self._scale2)
             m += idx.size
         self._std.flags.writeable = False
         self._valid.flags.writeable = False
@@ -252,30 +271,25 @@ class CorrelationEngine:
         del packed, words
         self._coord2 = np.take(coord2, self._pos)
         del coord2
+        # Each target's scan query: its final window normalised to zero mean
+        # and unit std, with the window's mean and std; None where the
+        # window is degenerate, by the sources' rule.
+        mean, std, _ = _window_moments(tails)
+        ok = std > _std_floor(mean)
+        dev = tails[ok] - mean[ok, None]
+        mean2, std2, _ = _window_moments(dev)  # centred twice, to kill the fp residual
+        qhat = np.zeros_like(tails)
+        qhat[ok] = (dev - mean2[:, None]) / std2[:, None]
+        self._tails = [(q, float(mu), float(sd)) if good else None
+                       for q, mu, sd, good in zip(qhat, mean, std, ok)]
         # Day ordinal of each series' first value, NaN where it is undated.
         self.start_ords = np.array([np.nan if ts.start_date is None else ts.start_date.toordinal()
                                     for ts in dataset], dtype=np.float64)
 
-    def _tail_stats(self, j: int) -> tuple[np.ndarray, float, float] | None:
-        """Target's final window normalised to zero mean and unit std (the
-        scan's query), with the window's mean/std; None when degenerate."""
-        ts = self.dataset.series[j]
-        w = self.params.w
-        if len(ts) < w:
-            return None
-        tail = ts.values[-w:]
-        mean = tail.mean()
-        dev = tail - mean
-        std = np.sqrt(np.dot(dev, dev) / w)
-        if std <= _std_floor(mean):
-            return None
-        dev -= dev.mean()  # centred twice, to kill the fp residual
-        return dev / np.sqrt(np.dot(dev, dev) / w), float(mean), float(std)
-
     def _scan(self, j: int, tail, r_threshold: float):
         """All candidates with r >= threshold over valid non-terminal windows,
         as parallel arrays (ks, taus, rs, win_std, cont_std) in (k, tau)
-        ascending order; ``tail`` is target j's ``_tail_stats``.
+        ascending order; ``tail`` is target j's entry of ``_tails``.
 
         Candidates are looked up in the projection index; when the key range
         is dense the full scan runs instead. Both evaluate r with the same
@@ -340,14 +354,15 @@ class CorrelationEngine:
         r descending with ties broken by (k, tau) ascending."""
         if r_threshold is None:
             r_threshold = self.params.r_threshold
-        tail = self._tail_stats(j)
+        tail = self._tails[j]
         ks, taus, rs, _, _ = _EMPTY_SCAN if tail is None else self._scan(j, tail, r_threshold)
         order = np.lexsort((taus, ks, -rs))
         return ks[order], taus[order], rs[order]
 
-    def _walk(self, j: int, tail, cands, future, r_threshold: float, std_ratio: float | None):
-        """Best-ranked candidate that passes every acceptance condition;
-        ``future`` is the sweep's future-use mask over ``cands``.
+    def _walk(self, tail, cands, future, r_threshold: float, std_ratio: float | None) -> int | None:
+        """Index in ``cands`` of the best-ranked candidate that passes every
+        acceptance condition, or None; ``future`` is the sweep's future-use
+        mask over ``cands``.
 
         Walking candidates in descending-r order and accepting the first one
         that satisfies the per-candidate conditions selects the same match
@@ -355,42 +370,21 @@ class CorrelationEngine:
         resolve to the smallest (k, tau) because the scan emits candidates
         in that order and argmax returns the first maximum.
         """
-        _, tail_mean, tail_std = tail
-        target = self.dataset.series[j]
-        w = self.params.w
-        ks, taus, rs, win_std, cont_std = cands
+        tail_std = tail[2]
+        _, _, rs, win_std, cont_std = cands
 
         keep = rs >= r_threshold
         if self.params.past_only:
             keep &= ~future
         if std_ratio is not None:
             # The mapped forecast's std is the affine slope times the
-            # continuation's std, both already in the rolling stats.
+            # continuation's std, both already in the window stds.
             fc_std = (tail_std / win_std) * cont_std
             limit = std_ratio * (win_std if self.params.bug2 else tail_std)
             keep &= fc_std <= limit
         if not keep.any():
             return None
-        masked = np.where(keep, rs, -np.inf)
-        pick = int(np.argmax(masked))
-        k = int(ks[pick])
-        tau = int(taus[pick])
-        source = self.dataset.series[k]
-        # The same mean rolling_stats gives this window: one w-term reduction.
-        forecast = affine_map(source.values[tau : tau + w],
-                              float(source.values[tau - w : tau].mean()),
-                              float(self._std[self.offsets[k] + tau - w]), tail_mean, tail_std)
-        used_future = None
-        if source.start_date is not None and future is not None:
-            used_future = bool(future[pick])
-        return CorrelatorMatch(
-            target_id=target.id,
-            source_id=source.id,
-            tau=tau,
-            r=float(rs[pick]),
-            forecast=forecast,
-            used_future=used_future,
-        )
+        return int(np.argmax(np.where(keep, rs, -np.inf)))
 
     def forecast(self, j: int) -> CorrelatorMatch | None:
         """Accepted match for one target under the engine's own thresholds,
@@ -400,7 +394,7 @@ class CorrelationEngine:
     def sweep(self, j: int, combos) -> list[CorrelatorMatch | None]:
         """Acceptance outcome of each (r_threshold, std_ratio) combo for one
         target, reusing a single candidate scan at the loosest threshold."""
-        tail = None if self.params.bug1 and j + 1 > BUG1_CUTOFF else self._tail_stats(j)
+        tail = None if self.params.bug1 and j + 1 > BUG1_CUTOFF else self._tails[j]
         if tail is None:
             return [None] * len(combos)
         cands = self._scan(j, tail, min(r for r, _ in combos))
@@ -412,7 +406,37 @@ class CorrelationEngine:
             ks, taus = cands[:2]
             future = (self.start_ords[ks] + (taus + self.params.w - 1)
                       >= self.start_ords[j] + len(self.dataset.series[j]))
-        return [self._walk(j, tail, cands, future, r, s) for r, s in combos]
+        picks = [self._walk(tail, cands, future, r, s) for r, s in combos]
+        hits = [p for p in picks if p is not None]
+        if not hits:
+            return picks
+        # The picked windows' means, from the kernel in one call.
+        w = self.params.w
+        windows = np.stack([self.dataset.series[k].values[t - w : t]
+                            for k, t in zip(cands[0][hits].tolist(), cands[1][hits].tolist())])
+        means = iter(_window_moments(windows)[0].tolist())
+        return [None if p is None else self._match(j, tail, cands, future, p, next(means))
+                for p in picks]
+
+    def _match(self, j: int, tail, cands, future, pick: int, mean: float) -> CorrelatorMatch:
+        """The match of candidate ``pick``: its continuation mapped from the
+        window's ``mean`` and its std from the scan into the target's frame."""
+        _, tail_mean, tail_std = tail
+        k, tau = int(cands[0][pick]), int(cands[1][pick])
+        source = self.dataset.series[k]
+        forecast = affine_map(source.values[tau : tau + self.params.w], mean,
+                              float(cands[3][pick]), tail_mean, tail_std)
+        used_future = None
+        if source.start_date is not None and future is not None:
+            used_future = bool(future[pick])
+        return CorrelatorMatch(
+            target_id=self.dataset.series[j].id,
+            source_id=source.id,
+            tau=tau,
+            r=float(cands[2][pick]),
+            forecast=forecast,
+            used_future=used_future,
+        )
 
 
 def run_correlator(dataset: Dataset, params: CorrelatorParams,

@@ -280,9 +280,17 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
 def attach_meta(dataset: Dataset, info: Mapping[str, InfoRecord]) -> Dataset:
     """Return a new Dataset with info-file metadata attached to each series.
 
-    Series without an info record keep their current metadata. Daily series
-    whose length falls outside the expected range trigger a warning only.
+    Series without an info record keep their current metadata, with one
+    warning that counts them. Daily series whose length falls outside the
+    expected range trigger a warning only.
     """
+    missing = [ts.id for ts in dataset if ts.id not in info]
+    if missing:
+        first = ", ".join(repr(sid) for sid in missing[:5])
+        warnings.warn(
+            f"{len(missing)} of {len(dataset)} series have no info row and keep their "
+            f"horizon and start date (first: {first})"
+        )
     out = []
     for ts in dataset:
         rec = info.get(ts.id)

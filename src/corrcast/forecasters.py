@@ -232,8 +232,8 @@ def decompose_classical(series, period: int = 2) -> Decomposition:
                          f"needs at least {shortest}")
     margin = period // 2
     trend = np.full(n, np.nan)
-    # The filter is symmetric, so this is its convolution.
-    trend[margin : n - margin] = np.correlate(series, _trend_filter(period), mode="valid")
+    # The filter is symmetric, so its convolution is the centred average.
+    trend[margin : n - margin] = np.convolve(series, _trend_filter(period), mode="valid")
     interior = n - 2 * margin
     detrended = np.zeros(interior + period)
     np.subtract(series[margin : n - margin], trend[margin : n - margin], out=detrended[:interior])
@@ -324,8 +324,8 @@ def _custom_rows(series: Sequence[np.ndarray], h: int) -> tuple[np.ndarray, np.n
     lo = np.concatenate((starts, starts))
     hi = np.concatenate((lengths - h, lengths)) + lo - 2
     with np.errstate(all="ignore"):
-        # The filter is symmetric, so this is its convolution.
-        trend = np.correlate(flat, _TREND_FILTER_2, mode="valid")
+        # The filter is symmetric, so its convolution is the centred average.
+        trend = np.convolve(flat, _TREND_FILTER_2, mode="valid")
         # detrended[i] and trend[i] belong to flat position i + 1; two
         # trailing zeros keep every segment bound inside the phase views.
         detrended = np.zeros(flat.size)

@@ -136,7 +136,9 @@ def owa_report(
         fc = _values_of(forecasts[sid])
         bench = _values_of(benchmark[sid])
         if fc.shape != actual.shape or bench.shape != actual.shape:
-            raise ValueError("actual and forecast lengths differ")
+            raise ValueError(f"actual and forecast lengths differ for series {sid!r}: "
+                             f"{actual.size} actual, {fc.size} forecast and {bench.size} "
+                             "benchmark values")
         scale[i] = _mase_scale(split.train[sid].values, m)
         by_shape.setdefault(actual.shape, []).append(i)
         rows.append((actual, fc, bench))

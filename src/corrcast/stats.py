@@ -1,21 +1,20 @@
-"""Numeric kernels: Pearson correlation, rolling window stats and the
+"""Numeric kernels: Pearson correlation, window moments and the
 window-correlation kernel of the correlator's scan.
 
-The forecaster's scan correlates a short query (typically 13-14 points)
-against every window of a series, from window stds precomputed once per
-(series, window length). r comes from one kernel, ``_window_r``: one
-column pass per query term over all windows at once, which for such short
-windows beats FFT-based schemes. Its fixed summation order makes a window's
-r independent of how windows are batched, so the correlator's two scan
-paths give the same bits.
+The correlator compares a short query (typically 14 points) with every
+window of every series. Two kernels serve it, both in column passes over a
+stack of windows (a strided view of a flat array or a gathered copy), which
+for such short windows beat FFT-based and per-window schemes:
+``_window_moments`` gives every window's mean, std and index coordinates,
+for the sources, the query and the matched window alike; ``_window_r``
+gives every window's r against a normalized query. Each sums a row's terms
+left to right, so a window's bits do not depend on the stack it sits in,
+and the correlator's build, scan paths and walk see the same values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ConstantInputError(ValueError):
@@ -25,20 +24,6 @@ class ConstantInputError(ValueError):
 def _std_floor(mean: np.ndarray | float) -> np.ndarray | float:
     """Threshold below which a window is treated as constant."""
     return 1e-12 * (1.0 + np.abs(mean))
-
-
-@dataclass(frozen=True)
-class RollingStats:
-    """Per-window mean/std (population, divisor n) for all length-w windows.
-
-    ``valid`` marks windows whose std exceeds the constancy floor; constant
-    windows have undefined correlation and are excluded from scans.
-    """
-
-    w: int
-    mean: np.ndarray
-    std: np.ndarray
-    valid: np.ndarray
 
 
 def pearson(a, b) -> float:
@@ -64,27 +49,29 @@ def pearson(a, b) -> float:
     return float(min(1.0, max(-1.0, r)))
 
 
-def rolling_stats(series, w: int) -> RollingStats:
-    """Mean/std of every length-w window of ``series``.
-
-    Computed by the direct two-pass formula per window (vectorized), so the
-    results match a per-window recomputation to within rounding even for
-    large offsets; no prefix-sum cancellation is involved.
+def _window_moments(windows: np.ndarray, rows=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, population std and the dot products of the deviations with
+    each of ``rows`` (length-w vectors) of every row of ``windows``, an
+    (m, w) stack. The mean sums the columns left to right, then one pass per
+    column accumulates the squared deviations and the products. A row with
+    all-equal values has std 0 when its sum is exact.
     """
-    series = np.asarray(series, dtype=np.float64)
-    if w < 1:
-        raise ValueError(f"window length must be positive, got {w}")
-    if series.size < w:
-        raise ValueError(f"series length {series.size} < window length {w}")
-    windows = sliding_window_view(series, w)
-    mean = windows.mean(axis=1)
-    dev = windows - mean[:, None]
-    std = np.sqrt(np.einsum("ij,ij->i", dev, dev) / w)
-    valid = std > _std_floor(mean)
-    mean.flags.writeable = False
-    std.flags.writeable = False
-    valid.flags.writeable = False
-    return RollingStats(w=w, mean=mean, std=std, valid=valid)
+    w = windows.shape[1]
+    mean = windows[:, 0].copy()
+    for i in range(1, w):
+        mean += windows[:, i]
+    mean /= w
+    dots = np.zeros((len(rows), mean.size))
+    var = np.zeros_like(mean)
+    dev = np.empty_like(mean)
+    term = np.empty_like(mean)
+    for i in range(w):
+        np.subtract(windows[:, i], mean, out=dev)
+        for dot, u in zip(dots, rows):
+            dot += np.multiply(dev, u[i], out=term)
+        var += np.multiply(dev, dev, out=term)
+    var /= w
+    return mean, np.sqrt(var, out=var), dots
 
 
 def _window_r(windows: np.ndarray, std: np.ndarray, qhat: np.ndarray) -> np.ndarray:

@@ -201,6 +201,17 @@ class TestEvaluateCommand:
         assert rc == 1
         assert "ZZZ" in capsys.readouterr().err
 
+    def test_length_mismatch_names_the_series(self, tmp_path, rng, capsys):
+        d = Dataset([TimeSeries(f"D{i}", np.abs(rng.normal(5, 1, 40))) for i in (1, 2)])
+        data = _write_dataset(d, tmp_path / "train.csv")
+        test = _write_test_values(d, tmp_path / "test.csv", rng, h=2)
+        write_forecast_csv({"D1": np.ones(2), "D2": np.ones(1)}, tmp_path / "f.csv")
+        rc = main(["evaluate", "--data", data, "--forecast", str(tmp_path / "f.csv"),
+                   "--test", test, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert ("actual and forecast lengths differ for series 'D2': 2 actual, 1 forecast"
+                in capsys.readouterr().err)
+
 
 class TestSweepCommand:
     def test_grid_shape_and_monotonicity(self, planted_env):

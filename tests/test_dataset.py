@@ -139,6 +139,26 @@ class TestInfo:
         assert d["D1"].horizon == 14
         assert d["D1"].start_date == date(1994, 1, 1)
 
+    def test_series_without_info_row_warn_once(self, tmp_path):
+        info = write_lines(tmp_path / "i.csv", [self.HEADER, "D1,1,2,Weekly,2001-02-03"])
+        records = load_m4_info(info)
+        data = Dataset([TimeSeries(f"D{i}", np.arange(20.0)) for i in range(1, 9)])
+        with pytest.warns(UserWarning) as caught:
+            d = attach_meta(data, records)
+        assert [str(w.message) for w in caught] == [
+            "7 of 8 series have no info row and keep their horizon and start date "
+            "(first: 'D2', 'D3', 'D4', 'D5', 'D6')"
+        ]
+        assert (d["D1"].horizon, d["D2"].horizon) == (2, data["D2"].horizon)
+        assert d["D2"].start_date is None
+
+    def test_complete_info_file_does_not_warn(self, tmp_path, recwarn):
+        info = write_lines(tmp_path / "i.csv", [self.HEADER, "D1,1,2,Weekly,2001-02-03",
+                                                "D2,1,3,Weekly,2001-02-03"])
+        attach_meta(Dataset([TimeSeries(f"D{i}", np.arange(20.0)) for i in (1, 2)]),
+                    load_m4_info(info))
+        assert not recwarn.list
+
     def test_unparseable_date_warns_and_absent(self, tmp_path):
         info = write_lines(
             tmp_path / "i.csv",

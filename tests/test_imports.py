@@ -36,13 +36,13 @@ def test_cli_import_loads_no_process_pool():
 PUBLIC = [
     "ConstantInputError", "CorrelationEngine", "CorrelatorMatch", "CorrelatorParams",
     "Dataset", "Decomposition", "Forecast", "GlobalMatch", "HoldoutSplit", "LeakageReport",
-    "MetricReport", "PipelineConfig", "RollingStats", "TimeSeries", "UndefinedMetricError",
+    "MetricReport", "PipelineConfig", "TimeSeries", "UndefinedMetricError",
     "affine_map", "attach_meta", "build_leakage_report", "categorize", "clip_negative",
     "custom_forecast", "decompose_classical", "find_global_matches", "future_use_stats",
     "global_cross_correlation", "holdout_split", "linear_extrapolate", "load_m4_info",
     "load_m4_values", "mase", "median_combine", "naive_benchmark", "naive_forecast",
     "overlap_histogram", "owa_report", "pearson", "pipeline_forecast", "read_forecast_csv",
-    "rolling_stats", "run_correlator", "ses_forecast", "smape", "sweep_correlator",
+    "run_correlator", "ses_forecast", "smape", "sweep_correlator",
     "write_forecast_csv", "write_values_csv",
 ]
 

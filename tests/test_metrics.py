@@ -185,9 +185,13 @@ def _ref_owa_report(forecasts, benchmark, split, m):
     for sid in forecasts:
         fc, bench = forecasts[sid], benchmark[sid]
         train, actual = split.train[sid].values, split.test[sid]
-        s_f = _ref_smape(actual, fc)
+        try:
+            s_f = _ref_smape(actual, fc)
+            smape_b.append(_ref_smape(actual, bench))
+        except ValueError as exc:
+            raise ValueError(f"{exc} for series {sid!r}: {actual.size} actual, {fc.size} "
+                             f"forecast and {bench.size} benchmark values") from None
         smape_f.append(s_f)
-        smape_b.append(_ref_smape(actual, bench))
         try:
             m_f = _ref_mase(train, actual, fc, m)
             m_b = _ref_mase(train, actual, bench, m)
@@ -321,4 +325,6 @@ class TestOwaReportOracle:
             owa_report(fcs, bench, split, m=2)
         with pytest.raises(ValueError) as want:
             _ref_owa_report(fcs, bench, split, 2)
+        if broken != "short":
+            message += " for series 'B': 3 actual, 4 forecast and 3 benchmark values"
         assert str(got.value) == str(want.value) == message

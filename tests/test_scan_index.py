@@ -15,12 +15,14 @@ smooth corpus must take the full scan and keep its plants.
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from corrcast import CorrelatorParams, Dataset, TimeSeries, pearson
-from corrcast.correlator import _EMPTY_SCAN, CorrelationEngine
-from corrcast.stats import ConstantInputError, rolling_stats
+from corrcast.correlator import _EMPTY_SCAN, CorrelationEngine, _dct_row
+from corrcast._parallel import indexed_map
+from corrcast.stats import ConstantInputError, _window_moments
 from conftest import bench_corpus, make_multi_planted
 
 THRESHOLDS = (1.0, 0.9999, 0.999, 0.99, 0.5)
@@ -29,7 +31,7 @@ KINDS = ("walk", "ramp", "floor", "shift")
 
 def _tail_scan(engine, j, r_threshold):
     """The engine's scan of target j; no candidates for a degenerate tail."""
-    tail = engine._tail_stats(j)
+    tail = engine._tails[j]
     return _EMPTY_SCAN if tail is None else engine._scan(j, tail, r_threshold)
 
 
@@ -123,7 +125,7 @@ def test_kernel_r_within_slack_of_pearson(case):
     w = params.w
     for j, target in enumerate(data):
         scan = _scan(engine, j, -1.0, -1.0)
-        if isinstance(scan, str) or engine._tail_stats(j) is None:
+        if isinstance(scan, str) or engine._tails[j] is None:
             continue
         ks, taus, rs, win_std, _ = scan
         for k, tau, r, std in zip(ks.tolist(), taus.tolist(), rs.tolist(), win_std.tolist()):
@@ -288,9 +290,107 @@ def test_self_matches_follow_include_self(rng, include_self):
 
 @pytest.mark.parametrize("w", [2, 5, 14, 40])
 def test_window_mean_matches_rolling_stats(rng, w):
-    """The walk maps a match with its window's own mean; it must be the
-    mean rolling_stats gives that window, to the bit."""
+    """The walk maps a match with its window's mean from a one-row stack;
+    the build takes every rolling window's moments from a strided stack.
+    The kernel gives both the same bits, and so the query too."""
+    rows = np.stack([_dct_row(w, 1), _dct_row(w, 2)])
     for offset in (0.0, 1e3, -1e6, 1e9):
         x = offset + np.cumsum(rng.normal(0.0, 10.0 ** rng.uniform(-6, 3), 300))
-        st = rolling_stats(x, w)
-        assert all(x[s : s + w].mean() == st.mean[s] for s in range(st.mean.size))
+        stack = _window_moments(sliding_window_view(x, w), rows)
+        for s in range(0, x.size - w + 1, 7):
+            one = _window_moments(x[None, s : s + w].copy(), rows)
+            assert all(np.array_equal(a[..., s], b[..., 0]) for a, b in zip(stack, one)), s
+
+
+def _level_windows(rng, w, level, factors):
+    """A series at ``level`` whose consecutive w-point stretches alternate
+    +-a (w even), so each such window has mean ``level`` and std a, for a
+    = factor times the constancy floor at that level; noise between them."""
+    floor = 1e-12 * (1.0 + abs(level))
+    parts = []
+    for factor in factors:
+        parts.append(level + factor * floor * np.tile([1.0, -1.0], w // 2))
+        parts.append(level + rng.normal(0.0, 1.0, w))
+    return np.concatenate(parts + [level + rng.normal(0.0, 1.0, 2 * w)])
+
+
+def _edge_corpus(rng, kind, w):
+    """Corpora at the edges of the build's rules, as lists of series."""
+    def walk(n, level=0.0):
+        return level + np.cumsum(rng.normal(0.0, 1.0, n))
+
+    if kind == "ragged":
+        # Too short to be a window, too short to be a source (w .. 2w - 1),
+        # exactly one source window (2w), and longer.
+        return [walk(n, 1e3) for n in (w - 1, w, 2 * w - 1, 2 * w, 2 * w + 1, 7 * w, 3)]
+    if kind == "short_total":
+        return [walk(3), walk(w - 4)]
+    if kind == "floor":
+        # Windows at half and twice the constancy floor, at small and large levels.
+        return [_level_windows(rng, w, level, (0.5, 2.0, 0.5, 2.0)) for level in (0.0, 1e9)]
+    if kind == "cond":
+        # Windows whose std sits just either side of max|series| / _COND_MAX.
+        peak = 1e8
+        series = [walk(6 * w, peak)]
+        for factor in (0.9, 0.99, 1.01, 1.1):
+            a = factor * peak / CorrelationEngine._COND_MAX
+            series.append(np.concatenate([walk(3 * w), peak - a * np.tile([1.0, -1.0], w // 2),
+                                          walk(3 * w)]))
+        return series
+    # A target and copies of its tail split at every point across a pair of
+    # neighbours.
+    tail = walk(w)
+    series = [np.concatenate([walk(2 * w), tail])]
+    for i in range(1, w):
+        series += [np.concatenate([walk(3 * w), tail[:i]]), np.concatenate([tail[i:], walk(3 * w)])]
+    return series
+
+
+def _rule_masks(engine, data, w):
+    """(eligible, tight) flat masks from each window's own two-pass moments
+    and the rules as stated: a source window is valid (std above the floor
+    of its mean) and non-terminal; it is tight when std * _COND_MAX reaches
+    max|series|."""
+    eligible = np.zeros(engine.offsets[-1], dtype=bool)
+    tight = eligible.copy()
+    for ts, a in zip(data, engine.offsets[:-1]):
+        for t in range(len(ts) - 2 * w + 1):
+            win = ts.values[t : t + w]
+            std = np.sqrt(np.mean((win - win.mean()) ** 2))
+            eligible[a + t] = std > 1e-12 * (1.0 + abs(win.mean()))
+            tight[a + t] = eligible[a + t] and std * engine._COND_MAX >= np.abs(ts.values).max()
+    return eligible, tight
+
+
+@pytest.mark.parametrize("kind", ["ragged", "short_total", "floor", "cond", "straddle"])
+def test_build_rules_on_edge_corpora(rng, kind):
+    """The build's eligible and tight windows are those of the rules applied
+    window by window; windows that run into the next series have std 0 and
+    are never eligible; both scan paths agree, and the candidates are the
+    same at one and two threads."""
+    w = 14
+    data = Dataset([TimeSeries(f"S{i}", v) for i, v in enumerate(_edge_corpus(rng, kind, w))])
+    engine = CorrelationEngine(data, CorrelatorParams(w=w))
+    eligible, tight = _rule_masks(engine, data, w)
+    assert np.array_equal(engine._valid, eligible)
+    assert np.array_equal(np.sort(engine._pos), np.flatnonzero(tight))
+    assert np.array_equal(engine._loose, np.flatnonzero(eligible & ~tight))
+    for end in engine.offsets[1:]:
+        assert not engine._std[max(end - w + 1, 0) : end].any()
+    if kind == "floor":
+        # The alternating stretches start every 2w points: half, twice, half, twice.
+        for a in engine.offsets[:-1]:
+            assert engine._valid[a : a + 8 * w : 2 * w].tolist() == [False, True, False, True]
+    if kind == "cond":
+        # Below the edge (0.9, 0.99) loose, above it (1.01, 1.1) tight.
+        starts = (engine.offsets[1:-1] + 3 * w).tolist()
+        assert engine._valid[starts].all()
+        assert [p in engine._loose for p in starts] == [True, True, False, False]
+    if kind == "short_total":
+        assert not eligible.any()
+    for j in range(len(data)):
+        for r_threshold in THRESHOLDS:
+            assert_paths_agree(engine, j, r_threshold)
+    cands = [indexed_map(lambda j: engine.candidates(j, 0.99), len(data), threads)
+             for threads in (1, 2)]
+    assert all(np.array_equal(a, b) for one, two in zip(*cands) for a, b in zip(one, two))

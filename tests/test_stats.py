@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from corrcast import (
     ConstantInputError,
@@ -10,8 +11,9 @@ from corrcast import (
     Dataset,
     TimeSeries,
     pearson,
-    rolling_stats,
 )
+from corrcast.correlator import _dct_row
+from corrcast.stats import _window_moments
 
 
 def direct_pearson(a, b):
@@ -65,41 +67,55 @@ class TestPearson:
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def _dct_rows(w):
+    return np.stack([_dct_row(w, 1), _dct_row(w, 2)])
+
+
 class TestRollingStats:
+    """Moments of every rolling window, from ``_window_moments`` over a
+    strided stack, against a per-window two-pass recomputation."""
+
     def test_hand_example(self):
-        st = rolling_stats([1.0, 2.0, 3.0], 2)
-        assert st.mean.tolist() == [1.5, 2.5]
+        mean, std, dots = _window_moments(sliding_window_view(np.array([1.0, 2.0, 3.0]), 2))
+        assert mean.tolist() == [1.5, 2.5]
+        assert std.tolist() == [0.5, 0.5]
+        assert dots.shape == (0, 2)
 
     def test_constant_series_invalid(self):
-        st = rolling_stats(np.full(10, 7.0), 3)
-        assert np.all(st.std == 0.0)
-        assert not st.valid.any()
+        mean, std, dots = _window_moments(sliding_window_view(np.full(10, 7.0), 3), _dct_rows(3))
+        assert np.all(mean == 7.0)
+        assert np.all(std == 0.0)
+        assert np.all(dots == 0.0)
+        engine = CorrelationEngine(Dataset([TimeSeries("c", np.full(10, 7.0))]),
+                                   CorrelatorParams(w=3))
+        assert not engine._valid.any()
 
     def test_matches_per_window_recomputation(self, rng):
-        series = rng.normal(0, 1, 1000)
-        w = 14
-        st = rolling_stats(series, w)
-        assert st.mean.size == series.size - w + 1
-        for t in range(0, series.size - w + 1, 37):
-            win = series[t : t + w]
-            mu = sum(win) / w
-            sd = (sum((x - mu) ** 2 for x in win) / w) ** 0.5
-            assert st.mean[t] == pytest.approx(mu, rel=1e-9)
-            assert st.std[t] == pytest.approx(sd, rel=1e-9)
+        _check_against_two_pass(rng.normal(0, 1, 1000))
 
     def test_large_offset_stability(self, rng):
         # Values near 1e9 with tiny local variation must not lose the std.
-        series = 1e9 + rng.normal(0, 1, 500)
-        st = rolling_stats(series, 14)
-        for t in range(0, series.size - 13, 61):
-            win = series[t : t + 14]
-            mu = win.mean()
-            sd = float(np.sqrt(np.mean((win - mu) ** 2)))
-            assert st.std[t] == pytest.approx(sd, rel=1e-9)
+        _check_against_two_pass(1e9 + rng.normal(0, 1, 500))
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            rolling_stats([1.0, 2.0], 3)
+        # A series shorter than w has no window: the stack has no rows.
+        mean, std, dots = _window_moments(np.empty((0, 14)), _dct_rows(14))
+        assert mean.shape == std.shape == (0,)
+        assert dots.shape == (2, 0)
+
+
+def _check_against_two_pass(series, w=14):
+    rows = _dct_rows(w)
+    mean, std, dots = _window_moments(sliding_window_view(series, w), rows)
+    assert mean.size == std.size == dots.shape[1] == series.size - w + 1
+    for t in range(0, series.size - w + 1, 37):
+        win = series[t : t + w]
+        mu = sum(win) / w
+        sd = (sum((x - mu) ** 2 for x in win) / w) ** 0.5
+        assert mean[t] == pytest.approx(mu, rel=1e-12)
+        assert std[t] == pytest.approx(sd, rel=1e-9)
+        for dot, u in zip(dots[:, t], rows):
+            assert dot == pytest.approx(sum(a * (x - mu) for a, x in zip(u, win)), abs=1e-9 * sd)
 
 
 def engine_correlations(query, series):
