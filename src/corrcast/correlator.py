@@ -183,13 +183,14 @@ class CorrelationEngine:
         n = int(self.offsets[-1])
         if n >= 2**31:
             raise ValueError(f"{n} values exceed the index's int32 positions")
-        self._centered = np.empty(n)
-        means, peaks = np.empty(len(dataset)), np.empty(len(dataset))
+        # Flat values: raw for the build's moments and floors, then centered.
+        flat = np.empty(n)
+        peaks = np.empty(len(dataset))
         # Every target's final window; zeros for a target shorter than w.
         tails = np.zeros((len(dataset), w))
         for k, (ts, a) in enumerate(zip(dataset, self.offsets[:-1])):
-            means[k], peaks[k] = ts.values.mean(), np.abs(ts.values).max()
-            np.subtract(ts.values, means[k], out=self._centered[a : a + len(ts)])
+            flat[a : a + len(ts)] = ts.values
+            peaks[k] = np.abs(ts.values).max()
             if len(ts) >= w:
                 tails[k] = ts.values[-w:]
         # Window stds at each window's flat start, the last w - 1 slots of
@@ -203,22 +204,19 @@ class CorrelationEngine:
         # so u2 = 0 and every second coordinate is 0.
         self._u, self._u2 = (_dct_row(w, k) for k in (1, 2))
         # Slacks, from forward-error bounds (eps = 2^-52) for windows with
-        # c <= _COND_MAX. The centered values x are at most 2c window stds,
-        # each rounded by at most c eps stds. The kernel's r sums the w
-        # products of the query q with x left to right, over w times the std:
-        # the sum errs by at most gamma_w = w eps / 2 times |q|_1 max|x| <=
-        # 2cw std, which with x's rounding gives c eps (w + 1) in r, for any
-        # summation order (so the prune's matrix-vector r as well). The
-        # query's residual sum (at most eps w (w + 1) / 2 after double
-        # centering) against the window's offset gives c eps (w + 1) more. The
-        # two-pass std of x errs by c eps from x's rounding and by (w + 6) eps
-        # from its sums (the mean's error, under w c eps stds, enters squared)
-        # and the division. A coordinate is its row u (|u|_1 <= sqrt(w),
-        # |sum(u)| <= w eps) times the window's deviations from its mean, over
-        # the std: the mean's error meets only sum(u); x's rounding and the
-        # std give 2 c eps sqrt(w), the rest under w^2 eps. The r slack takes
-        # its bound, c eps (2w + 3) + (w + 6) eps, over 3 times, the key
-        # slack its bound over 10 times.
+        # c <= _COND_MAX. The kernel's r sums the w products of the query q
+        # with globally centered values x (each at most 2c window stds) left
+        # to right, over w times the window std: the sum errs by at most
+        # gamma_w = w eps / 2 times |q|_1 max|x| <= 2cw std, which with the
+        # centering's rounding gives c eps (w + 1) in r, for any summation
+        # order (so the prune's matrix-vector r as well). The query's residual
+        # sum (at most eps w (w + 1) / 2 after double centering) against the
+        # window's offset gives c eps (w + 1) more; the std, two passes over
+        # the raw values, and the division give (w + 6) eps. A coordinate is
+        # the dot product of its row (|u|_1 <= sqrt(w), |sum(u)| <= w eps) with
+        # the raw window's deviations, over the std: under w^2 eps, as the
+        # mean's error meets only sum(u). The r slack takes its bound 4 times
+        # over, the key slack over 10^5 times.
         eps = np.finfo(np.float64).eps
         c = self._COND_MAX
         self._r_slack = 4 * (2 * c * eps * (w + 1) + (w + 6) * eps)
@@ -241,16 +239,16 @@ class CorrelationEngine:
         for s in range(0, n - w + 1, self._BUILD_BLOCK):
             e = min(s + self._BUILD_BLOCK, n - w + 1)
             mean, std, (keys, bends) = _window_moments(
-                sliding_window_view(self._centered[s : e + w - 1], w), (self._u, self._u2))
+                sliding_window_view(flat[s : e + w - 1], w), (self._u, self._u2))
             pos = np.arange(s, e)
             k = np.searchsorted(ends, pos, side="right")
             end = ends[k]
             # A window that runs into the next series has std 0. Eligible
-            # windows are valid and non-terminal (start <= n_k - 2w), the
-            # same rule as the query's with the series' mean added back.
+            # windows are valid and non-terminal (start <= n_k - 2w), by the
+            # query's rule.
             std[pos > end - w] = 0.0
             self._std[s:e] = std
-            eligible = (pos <= end - 2 * w) & (std > _std_floor(mean + means[k]))
+            eligible = (pos <= end - 2 * w) & (std > _std_floor(mean))
             self._valid[s:e] = eligible
             tight = eligible & (std * self._COND_MAX >= peaks[k])
             loose.append(pos[eligible & ~tight].astype(np.int32))
@@ -262,6 +260,9 @@ class CorrelationEngine:
             m += idx.size
         self._std.flags.writeable = False
         self._valid.flags.writeable = False
+        for ts, a in zip(dataset, self.offsets[:-1]):
+            np.subtract(ts.values, ts.values.mean(), out=flat[a : a + len(ts)])
+        self._centered = flat
         self._loose = np.concatenate(loose)
         packed = packed[:m]
         packed.sort()
@@ -410,7 +411,8 @@ class CorrelationEngine:
         hits = [p for p in picks if p is not None]
         if not hits:
             return picks
-        # The picked windows' means, from the kernel in one call.
+        # The picked windows' means in one kernel call, not one per match (a
+        # one-row call costs 0.1 ms; sweep-smooth accepts about 600 matches).
         w = self.params.w
         windows = np.stack([self.dataset.series[k].values[t - w : t]
                             for k, t in zip(cands[0][hits].tolist(), cands[1][hits].tolist())])

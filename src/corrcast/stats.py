@@ -2,14 +2,13 @@
 window-correlation kernel of the correlator's scan.
 
 The correlator compares a short query (typically 14 points) with every
-window of every series. Two kernels serve it, both in column passes over a
-stack of windows (a strided view of a flat array or a gathered copy), which
-for such short windows beat FFT-based and per-window schemes:
-``_window_moments`` gives every window's mean, std and index coordinates,
-for the sources, the query and the matched window alike; ``_window_r``
-gives every window's r against a normalized query. Each sums a row's terms
-left to right, so a window's bits do not depend on the stack it sits in,
-and the correlator's build, scan paths and walk see the same values.
+window of every series. Two kernels serve it in column passes over a stack
+of windows (a strided view or a gathered copy), which for such short
+windows beat FFT-based and per-window schemes: ``_window_moments`` gives
+each window's mean, std and index coordinates, ``_window_r`` its r against
+a normalized query. Each sums a row's terms left to right, so a row gets
+the same bits in any stack: the build's blocks of raw values and a matched
+window's one-row copy give it the same mean, and both scan paths the same r.
 """
 
 from __future__ import annotations
@@ -54,7 +53,8 @@ def _window_moments(windows: np.ndarray, rows=()) -> tuple[np.ndarray, np.ndarra
     each of ``rows`` (length-w vectors) of every row of ``windows``, an
     (m, w) stack. The mean sums the columns left to right, then one pass per
     column accumulates the squared deviations and the products. A row with
-    all-equal values has std 0 when its sum is exact.
+    all-equal values has std 0 when its sum is exact, and otherwise at most
+    about w eps times its mean, below ``_std_floor``.
     """
     w = windows.shape[1]
     mean = windows[:, 0].copy()

@@ -328,6 +328,10 @@ def _edge_corpus(rng, kind, w):
     if kind == "floor":
         # Windows at half and twice the constancy floor, at small and large levels.
         return [_level_windows(rng, w, level, (0.5, 2.0, 0.5, 2.0)) for level in (0.0, 1e9)]
+    if kind == "zeros":
+        # A run of 2w zeros far below its series' mean: its w + 1 windows are
+        # constant however the series is centered.
+        return [np.concatenate([walk(3 * w, 1e6), np.zeros(2 * w), walk(3 * w, 1e6)]), walk(4 * w)]
     if kind == "cond":
         # Windows whose std sits just either side of max|series| / _COND_MAX.
         peak = 1e8
@@ -362,7 +366,7 @@ def _rule_masks(engine, data, w):
     return eligible, tight
 
 
-@pytest.mark.parametrize("kind", ["ragged", "short_total", "floor", "cond", "straddle"])
+@pytest.mark.parametrize("kind", ["ragged", "short_total", "floor", "zeros", "cond", "straddle"])
 def test_build_rules_on_edge_corpora(rng, kind):
     """The build's eligible and tight windows are those of the rules applied
     window by window; windows that run into the next series have std 0 and
@@ -388,6 +392,8 @@ def test_build_rules_on_edge_corpora(rng, kind):
         assert [p in engine._loose for p in starts] == [True, True, False, False]
     if kind == "short_total":
         assert not eligible.any()
+    if kind == "zeros":
+        assert not engine._valid[3 * w : 4 * w + 1].any()
     for j in range(len(data)):
         for r_threshold in THRESHOLDS:
             assert_paths_agree(engine, j, r_threshold)
