@@ -5,6 +5,11 @@ Work is distributed by forking, so the callable and any large shared state
 being pickled. Results are returned in index order, making the output
 independent of the worker count.
 
+A pool starts only when the caller's estimate of the map's one-thread time
+reaches ``_POOL_BREAK_EVEN_S``. Each caller derives that estimate from its
+input alone, so whether an input forks does not depend on the machine's
+load.
+
 Warnings are independent of it too. A worker records the warnings each call
 raises and returns them with the result; the parent emits them again in
 index order, through the registry of the module that raised them, so each is
@@ -18,6 +23,17 @@ import sys
 import warnings
 
 _WORK = None
+
+# One-thread seconds from which a map forks. On a 2-vCPU VM the first pool
+# of a process costs 30-40 ms before its first item (importing
+# multiprocessing and concurrent.futures, forking two workers: 20 trivial
+# items in 6 fresh processes), and its workers then take copy-on-write
+# faults on the shared state, about 4k minor faults on sweep-smooth's scan.
+# Two workers ran that 0.37 s scan in 0.23-0.52 s, and the correlator scan
+# and ensemble of 1000 M4-like walks 1.3 and 1.4 times faster than one
+# (medians of 10). At a speedup of 1.3 a map of S seconds saves
+# S (1 - 1/1.3) - 0.035 s, which is positive from 0.15 s.
+_POOL_BREAK_EVEN_S = 0.15
 
 
 def _invoke(i):
@@ -56,17 +72,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def indexed_map(work, n: int, threads: int = 1, min_saved: int = 1) -> list:
+def indexed_map(work, n: int, threads: int, serial_s: float) -> list:
     """Return [work(0), ..., work(n-1)], optionally computed in parallel;
     ValueError for ``threads`` below 1.
 
+    ``serial_s`` is the caller's estimate of the map's time on one thread.
     The workers are capped by ``threads``, ``n`` and the CPUs this process
-    may use. The map runs in this process unless a pool would take at
-    least ``min_saved`` items off it: n less the most items one worker
-    gets. So a map that would get one worker never forks.
+    may use. The map forks only when that leaves more than one worker and
+    ``serial_s`` reaches ``_POOL_BREAK_EVEN_S``; otherwise it runs in this
+    process.
     """
     workers = min(check_threads(threads), n, _usable_cpus())
-    if workers <= 1 or n - -(-n // workers) < min_saved:
+    if workers <= 1 or serial_s < _POOL_BREAK_EVEN_S:
         return [work(i) for i in range(n)]
     # Imported here, so that a serial run never loads them.
     import multiprocessing as mp

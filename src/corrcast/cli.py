@@ -143,9 +143,10 @@ PARAMS = {p.key: p for p in (
 
 
 def load_config(path: str | Path) -> dict:
-    """Parse a ``key = value`` config file; unknown keys are rejected."""
+    """Parse a ``key = value`` config file (UTF-8, a leading byte-order mark
+    dropped); unknown keys are rejected."""
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -160,6 +160,13 @@ class CorrelationEngine:
     # whose range held 20-25% of the flat windows, 81% at 25-30%, 79% at
     # 30-35%, 64% at 35-40% and 16% at 40-45%.
     _DENSE_FRACTION = 0.35
+    # One-thread seconds of a target's whole ``sweep``, walks and matches
+    # included, for ``sweep_seconds``: per flat window of a full scan, per
+    # range entry of an index scan, and per target. Least squares over every
+    # target's sweep (best of 3) of forecast-rw, sweep-smooth and
+    # audit-leaky, seeds 0 and 3, gave 15.5 ns, 16 ns and 26 us (2 vCPU);
+    # the last two are rounded up, as the fit is ruled by the dense targets.
+    _WINDOW_S, _ENTRY_S, _TARGET_S = 15e-9, 20e-9, 50e-6
     # Windows whose std is below max|series| / _COND_MAX go to a short list
     # that skips the index and the prune: the rounding errors of r and of
     # the key grow with c = max|series| / std, and the slacks below cover
@@ -298,14 +305,9 @@ class CorrelationEngine:
         """
         w = self.params.w
         qhat = tail[0]
-        # |qhat.u - what.u| <= |qhat - what| = sqrt(2w(1 - r)) for unit zero-sum u,
-        # and so for u2; the kernel keeps r >= t only if the exact r >= t - r_slack.
-        radius = np.sqrt(2 * w * (1.0 - r_threshold + self._r_slack)) + self._key_slack
-        bounds = np.floor((np.dot(qhat, self._u) + np.array([-radius, radius])) * self._scale)
-        key_lo, key_hi = bounds.clip(-(2**31), 2**31 - 1).astype(np.int32)
-        lo = np.searchsorted(self._keys, key_lo, side="left")
-        hi = np.searchsorted(self._keys, key_hi, side="right")
-        if hi - lo + self._loose.size > self._DENSE_FRACTION * self._valid.size:
+        radius = self._radius(r_threshold)
+        lo, hi = self._key_range(np.dot(qhat, self._u), radius)
+        if self._dense(hi - lo):
             pos, r = self._full_scan(qhat, r_threshold)
         else:
             # Prune the key range by the second coordinate's bounds (floored
@@ -335,6 +337,42 @@ class CorrelationEngine:
             pos, r = pos[keep], r[keep]
         ks = np.searchsorted(self.offsets, pos, side="right") - 1
         return ks, pos - self.offsets[ks] + w, r, self._std[pos], self._std[pos + w]
+
+    def _radius(self, r_threshold: float) -> float:
+        """Search radius of a coordinate at ``r_threshold``: |qhat.u - what.u|
+        <= |qhat - what| = sqrt(2w(1 - r)) for unit zero-sum u, and the
+        kernel keeps r >= t only if the exact r >= t - r_slack."""
+        return np.sqrt(2 * self.params.w * (1.0 - r_threshold + self._r_slack)) + self._key_slack
+
+    def _key_range(self, centre, radius: float):
+        """Index range [lo, hi) of the keys within ``radius`` of ``centre``,
+        a query's first coordinate or an array of them."""
+        lo, hi = (np.floor((centre + d) * self._scale).clip(-(2**31), 2**31 - 1).astype(np.int32)
+                  for d in (-radius, radius))
+        return (np.searchsorted(self._keys, lo, side="left"),
+                np.searchsorted(self._keys, hi, side="right"))
+
+    def _dense(self, size):
+        """Whether a key range of ``size`` entries takes the full scan."""
+        return size + self._loose.size > self._DENSE_FRACTION * self._valid.size
+
+    def sweep_seconds(self, r_threshold: float) -> float:
+        """Estimated one-thread seconds of ``sweep`` over every target with
+        ``r_threshold`` the loosest threshold, from each query's key range:
+        a full scan's flat windows or an index scan's range entries, plus a
+        fixed cost per target."""
+        tails = self._tails[:BUG1_CUTOFF] if self.params.bug1 else self._tails
+        queries = [tail[0] for tail in tails if tail is not None]
+        if not queries:
+            return 0.0
+        # Elementwise, not a matrix product: a BLAS call would load its
+        # buffers into this process before a fork, and into every worker
+        # (+0.2-0.5 MB of peak RSS on sweep-smooth).
+        centres = (np.stack(queries) * self._u).sum(axis=1)
+        lo, hi = self._key_range(centres, self._radius(r_threshold))
+        work = np.where(self._dense(hi - lo), self._valid.size * self._WINDOW_S,
+                        (hi - lo + self._loose.size) * self._ENTRY_S)
+        return float(work.sum()) + len(queries) * self._TARGET_S
 
     def _full_scan(self, qhat: np.ndarray, r_threshold: float):
         """Flat positions and r of every eligible window with r >= threshold,
@@ -466,7 +504,8 @@ def sweep_correlator(dataset: Dataset, combos, params: CorrelatorParams,
     combos = list(combos)
     check_sweep(combos, params)
     engine = CorrelationEngine(dataset, params)
-    per_target = indexed_map(lambda j: engine.sweep(j, combos), len(dataset), threads)
+    per_target = indexed_map(lambda j: engine.sweep(j, combos), len(dataset), threads,
+                             engine.sweep_seconds(min(r for r, _ in combos)))
     out = []
     for c, _ in enumerate(combos):
         out.append(

@@ -155,15 +155,16 @@ def read_forecast_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Read a ragged M4-layout CSV into an ordered id -> float64 values map.
 
     Values, test, forecast, benchmark and external-member files all share
-    this layout and these rules. The first row is a header and is skipped,
-    as are blank lines. Each other row is a series id followed by decimal
-    values; trailing empty cells are dropped. An empty id, an empty interior
-    cell, a malformed or non-finite cell, a row with no values and a repeated
-    id are errors (column numbers in error messages are 1-based and count the
-    id cell).
+    this layout and these rules. Files are UTF-8, with or without the
+    byte-order mark spreadsheets write. The first row is a header and is
+    skipped, as are blank lines. Each other row is a series id followed by
+    decimal values; trailing empty cells are dropped. An empty id, an empty
+    interior cell, a malformed or non-finite cell, a row with no values and
+    a repeated id are errors (column numbers in error messages are 1-based
+    and count the id cell).
     """
     out: dict[str, np.ndarray] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             next(reader)
@@ -217,13 +218,13 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
     Columns are located by header name: the series id column contains
     "id", the seasonal-pattern label column is "SP", plus "Horizon" and
     "StartingDate"; other columns ("Frequency" among them) are not read.
-    Blank lines are skipped. An empty id, a repeated id and a horizon that
-    is not a whole number >= 1 ("14" and "14.0" are) are errors naming the
-    row or the series. Unparseable dates produce a warning and are treated
-    as absent.
+    A leading UTF-8 byte-order mark is dropped, and blank lines are
+    skipped. An empty id, a repeated id and a horizon that is not a whole
+    number >= 1 ("14" and "14.0" are) are errors naming the row or the
+    series. Unparseable dates produce a warning and are treated as absent.
     """
     records: dict[str, InfoRecord] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip().lower() for h in next(reader)]

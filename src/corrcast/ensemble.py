@@ -2,14 +2,15 @@
 median of configured forecasters elsewhere, and negative clipping last.
 
 The pipeline works through the dataset in contiguous chunks of about
-``_CHUNK_POINTS`` points, one chunk per work item of the pool, which starts
-only when it takes at least ``_POOL_MIN_CHUNKS`` chunks off the main
-process. Chunk boundaries depend only on the series lengths, so the output
-does not depend on the thread count. Within a chunk the decomposition member
-(``custom``) forecasts every series that reaches the ensemble in one call
-of its chunk kernel, which gives each series the same bits as
-``custom_forecast`` on that series alone; the other members run per
-series.
+``_CHUNK_POINTS`` points, one chunk per work item of the pool. The pool
+starts only when the members' estimated time, ``_SERIES_S`` per series and
+``_POINT_S`` per point of the series that reach them, reaches the fork
+break-even of ``indexed_map``. Chunk boundaries depend only on the series
+lengths, so the output does not depend on the thread count. Within a chunk
+the decomposition member (``custom``) forecasts every series that reaches
+the ensemble in one call of its chunk kernel, which gives each series the
+same bits as ``custom_forecast`` on that series alone; the other members
+run per series.
 
 A series' ensemble works on plain arrays: each member's output is checked
 as a ``Forecast`` would check it, the survivors are stacked and sorted down
@@ -45,12 +46,10 @@ DEFAULT_MEMBERS = ("naive", "ses", "custom")
 # Points of series in one work item. It bounds the decomposition kernel's
 # temporaries, about a dozen float64 arrays of this many values.
 _CHUNK_POINTS = 2**15
-# The pool starts only when it takes this many chunks off the main process.
-# On a 2-vCPU VM starting a pool (importing multiprocessing, forking the
-# workers, their copy-on-write faults) costs about 40-60 ms. Member work at
-# one thread is about 60 us per series plus 0.1 us per point, so a chunk of
-# 40-400-point series takes about 20 ms, and one of a few long series 4 ms.
-_POOL_MIN_CHUNKS = 3
+# One-thread seconds of the default members per series and per point.
+# Least squares over ``pipeline_forecast`` without the correlator on the
+# four bench corpora of seed 3 (best of 5, 2 vCPU) gave 57 us and 0.11 us.
+_SERIES_S, _POINT_S = 60e-6, 0.11e-6
 
 
 @dataclass(frozen=True)
@@ -214,8 +213,10 @@ def pipeline_forecast(dataset: Dataset, config: PipelineConfig, threads: int = 1
                 batched[j] = dict.fromkeys(chunked, row)
         return [one(ts, h, b) for ts, h, b in zip(chunk, horizons, batched)]
 
-    results = [r for part in indexed_map(work, len(chunks), threads, _POOL_MIN_CHUNKS)
-               for r in part]
+    # Series with an accepted match skip the members.
+    members_s = sum(_SERIES_S + _POINT_S * len(ts) for ts in dataset
+                    if ts.id not in matches)
+    results = [r for part in indexed_map(work, len(chunks), threads, members_s) for r in part]
     out: dict[str, Forecast] = {}
     for ts, (values, method) in zip(dataset, results):
         # Checked before the clip, which would turn a -inf into 0.

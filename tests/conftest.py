@@ -10,6 +10,7 @@ arithmetic, independent of the library's scan path.
 from __future__ import annotations
 
 import importlib.util
+import os
 import sys
 from dataclasses import dataclass
 from datetime import date
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrcast import Dataset, TimeSeries
+from corrcast import Dataset, TimeSeries, _parallel
 
 W = 14
 
@@ -143,6 +144,40 @@ def make_multi_planted(rng, n_series=5, w=W):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240812)
+
+
+class PoolPids:
+    """Process ids that ran a patched function, read back from a file that
+    every call appends to, in the main process and in pool workers alike."""
+
+    def __init__(self, monkeypatch, log: Path):
+        self._monkeypatch, self._log = monkeypatch, log
+
+    def record(self, owner, name: str) -> None:
+        """Patch ``owner.name`` so that each call logs its process id."""
+        fn, log = getattr(owner, name), self._log
+
+        def recording(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fn(*args, **kwargs)
+
+        self._monkeypatch.setattr(owner, name, recording)
+
+    def __call__(self) -> set[int]:
+        """The pids logged since the last call."""
+        pids = {int(line) for line in self._log.read_text().split()} if self._log.exists() else set()
+        self._log.unlink(missing_ok=True)
+        return pids
+
+
+@pytest.fixture
+def pool(monkeypatch, tmp_path):
+    """Every map with more than one worker forks, whatever its estimated
+    time, on two usable CPUs whatever the host has. Returns a ``PoolPids``."""
+    monkeypatch.setattr(_parallel, "_POOL_BREAK_EVEN_S", 0.0)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+    return PoolPids(monkeypatch, tmp_path / "pids")
 
 
 def match_bits(best):

@@ -4,6 +4,8 @@ per criterion, each printing a pass line. Runs on synthetic data only.
 Run with: pytest tests/test_acceptance.py -v -s
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -158,9 +160,10 @@ def test_criterion_5_decomposition_and_linear_continuation():
     _passed("criterion 5: decomposition identity (1e-9) and linear continuation (1e-6)")
 
 
-def test_criterion_6_thread_count_determinism(tmp_path):
+def test_criterion_6_thread_count_determinism(tmp_path, pool):
     rng = np.random.default_rng(SEED + 5)
     d, _ = make_multi_planted(rng, n_series=8)
+    pool.record(CorrelationEngine, "sweep")
     data = tmp_path / "train.csv"
     write_values_csv(d, data)
     outs = []
@@ -169,6 +172,7 @@ def test_criterion_6_thread_count_determinism(tmp_path):
         rc = main(["forecast", "--data", str(data), "--out", str(out),
                    "--horizon", "14", "--threads", threads, "--no-timestamp"])
         assert rc == 0
+        assert (os.getpid() in pool()) == (threads == "1")
         outs.append(out)
     for name in ("forecast.csv", "provenance.csv", "correlator_matches.csv"):
         b1 = (outs[0] / name).read_bytes()

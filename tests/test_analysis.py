@@ -1,5 +1,6 @@
 """Leakage-audit tests: global correlation scan, categories, histograms."""
 
+import os
 import warnings
 from datetime import date
 
@@ -21,7 +22,7 @@ from corrcast import (
     run_correlator,
 )
 from corrcast import analysis
-from corrcast.analysis import _fast_lengths
+from corrcast.analysis import _fast_lengths, load_exclusions_csv
 from corrcast.stats import pearson
 from conftest import bench_corpus, make_multi_planted, make_planted, match_bits
 
@@ -122,13 +123,19 @@ class TestFindGlobalMatches:
     def test_empty_dataset(self):
         assert find_global_matches(Dataset([])) == []
 
-    def test_thread_counts_agree(self, rng):
+    def test_thread_counts_agree(self, rng, monkeypatch, pool):
         series = [TimeSeries(f"S{i}", _series(rng, int(rng.integers(40, 100))))
                   for i in range(6)]
         series.append(TimeSeries("J", series[0].values[:40] * 2.0 + 1.0))
         d = Dataset(series)
+        # One group per tile, so that the scan's map has several squares.
+        monkeypatch.setattr(analysis, "_TILE", 1)
+        pool.record(analysis.GlobalScanEngine, "_tile")
         seq = find_global_matches(d, threshold=0.5, threads=1)
+        assert pool() == {os.getpid()}
         par = find_global_matches(d, threshold=0.5, threads=4)
+        pids = pool()
+        assert pids and os.getpid() not in pids
         assert [(m.target_id, m.source_id, m.tau, m.r_prime) for m in seq] == \
                [(m.target_id, m.source_id, m.tau, m.r_prime) for m in par]
 
@@ -173,12 +180,15 @@ class TestAllPairsScan:
     # last one cut short.
     @pytest.mark.parametrize("tile", [1, 2, analysis._TILE])
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_agrees_with_best_match_bit_for_bit(self, rng, monkeypatch, tile, threads):
+    def test_agrees_with_best_match_bit_for_bit(self, rng, monkeypatch, pool, tile, threads):
         monkeypatch.setattr(analysis, "_TILE", tile)
+        pool.record(analysis.GlobalScanEngine, "_tile")
         d = _ragged(rng)
         engine = analysis.GlobalScanEngine(d)
         single = [match_bits(engine.best_match(j)) for j in range(len(d))]
         assert [match_bits(b) for b in engine.best_matches(threads)] == single
+        pids = pool()
+        assert pids and (os.getpid() in pids) == (threads == 1)
         assert sum(b is not None for b in single) == len(d) - 2
 
     def test_one_convolution_per_unordered_pair(self, rng, monkeypatch):
@@ -197,11 +207,14 @@ class TestAllPairsScan:
         sources, short = 41, 2
         assert sum(rows) == sources * (sources + 1) // 2 + short * sources
 
-    def test_duplicate_copies_tie_exactly(self, rng):
+    def test_duplicate_copies_tie_exactly(self, rng, monkeypatch, pool):
         """Three verbatim copies of B sit on both sides of A, whose tail
         starts B while B's tail starts A (a T2 pair). Near-perfect matches
         (r' just below 1, so no clip hides a rounding difference) must name
-        the first copy, for every target, at any thread count."""
+        the first copy, for every target, at any thread count: in one tile
+        at one thread, and in a pool over squares of one group each."""
+        pool.record(analysis.GlobalScanEngine, "_tile")
+        default_tile = analysis._TILE
         for _ in range(4):
             n, length = 200, 40
             a, b = np.cumsum(_series(rng, n)), np.cumsum(_series(rng, n))
@@ -214,8 +227,10 @@ class TestAllPairsScan:
                          TimeSeries("B2", b.copy()), TimeSeries("T_last", last)])
             expected = {"T_first": ("B0", 70), "B0": ("A", 40), "A": ("B0", 40),
                         "B1": ("A", 40), "B2": ("A", 40), "T_last": ("B0", 130)}
-            for threads in (1, 2):
+            for threads, tile in ((1, default_tile), (2, 1)):
+                monkeypatch.setattr(analysis, "_TILE", tile)
                 matches = find_global_matches(d, threshold=0.99, threads=threads)
+                assert (os.getpid() in pool()) == (threads == 1)
                 assert {m.target_id: (m.source_id, m.tau) for m in matches} == expected
                 assert all(m.r_prime < 1.0 for m in matches)
                 t2 = categorize(matches, d)["T2"]
@@ -406,3 +421,11 @@ def test_next_fast_len_matches_scipy():
     rungs = ladder[np.searchsorted(ladder, np.arange(1, 70001))]
     for n, rung in enumerate(rungs.tolist(), start=1):
         assert rung == fft.next_fast_len(n, real=True), n
+
+
+def test_exclusions_with_byte_order_mark(tmp_path):
+    """A header-less exclusion list saved with a byte-order mark yields the
+    first pair's plain ids, so that it matches the pair it names."""
+    path = tmp_path / "excl.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + b"D1,D2\nD3,D4\n")
+    assert load_exclusions_csv(path) == [("D1", "D2"), ("D3", "D4")]

@@ -115,6 +115,11 @@ class TestForecastCommand:
 
 
 class TestConfig:
+    def test_byte_order_mark_before_first_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + b"threads = 2\nhorizon = 7\n")
+        assert cli.load_config(cfg) == {"threads": 2, "horizon": 7}
+
     def test_unknown_key_exits_2(self, planted_env, capsys, tmp_path):
         _, _, data, _, tmp = planted_env
         cfg = tmp_path / "run.cfg"

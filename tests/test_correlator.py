@@ -1,5 +1,6 @@
 """Window-matching forecaster tests built around planted synthetic matches."""
 
+import os
 from datetime import date, timedelta
 
 import numpy as np
@@ -292,10 +293,14 @@ class TestRunCorrelator:
     def test_empty_dataset(self):
         assert run_correlator(Dataset([]), CorrelatorParams()) == {}
 
-    def test_thread_counts_agree(self, rng):
+    def test_thread_counts_agree(self, rng, pool):
         d, _ = make_multi_planted(rng, n_series=8)
+        pool.record(CorrelationEngine, "sweep")
         seq = run_correlator(d, CorrelatorParams(), threads=1)
+        assert pool() == {os.getpid()}
         par = run_correlator(d, CorrelatorParams(), threads=8)
+        pids = pool()
+        assert pids and os.getpid() not in pids
         assert list(seq) == list(par)
         for sid in seq:
             assert seq[sid].tau == par[sid].tau
@@ -376,3 +381,20 @@ class TestMonotonicity:
             for sid in solo:
                 assert matches[sid].tau == solo[sid].tau
                 assert matches[sid].r == solo[sid].r
+
+
+def test_sweep_estimate_is_larger_on_a_dense_corpus(rng):
+    """Near-linear tails at r >= 0.99 take the full scan over every flat
+    window, while random-walk tails at r >= 0.9999 take a narrow key range:
+    of two corpora of the same size, the first's estimate is the larger."""
+    n, length = 30, 400
+    t = np.arange(length, dtype=np.float64)
+    linear = Dataset([TimeSeries(f"L{i}", rng.uniform(0.5, 2.0) * t + rng.normal(0, 0.01, length))
+                      for i in range(n)])
+    walks = Dataset([TimeSeries(f"W{i}", np.cumsum(rng.normal(0, 1, length))) for i in range(n)])
+    dense = CorrelationEngine(linear, CorrelatorParams(r_threshold=0.99))
+    sparse = CorrelationEngine(walks, CorrelatorParams())
+    assert all(dense._dense(hi - lo) for lo, hi in (
+        dense._key_range(np.dot(tail[0], dense._u), dense._radius(0.99)) for tail in dense._tails))
+    assert dense.sweep_seconds(0.99) > 2 * sparse.sweep_seconds(0.9999) > 0.0
+    assert CorrelationEngine(Dataset([]), CorrelatorParams()).sweep_seconds(0.99) == 0.0

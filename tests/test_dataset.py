@@ -121,6 +121,16 @@ class TestLoadValues:
 
 
 class TestInfo:
+    def test_byte_order_mark_before_header(self, tmp_path):
+        """Spreadsheets save "CSV UTF-8" with a byte-order mark before the
+        first column's name."""
+        info = tmp_path / "i.csv"
+        info.write_bytes(b"\xef\xbb\xbf" + b"M4id,Horizon,SP,StartingDate\nD1,14,Daily,1994-01-01\n")
+        records = load_m4_info(info)
+        assert list(records) == ["D1"]
+        assert records["D1"].horizon == 14
+        assert records["D1"].start_date == date(1994, 1, 1)
+
     def test_parse_and_attach(self, tmp_path):
         vals = write_lines(tmp_path / "v.csv", ["id,V1,V2,V3", "D1,1,2,3"])
         info = write_lines(
@@ -238,6 +248,15 @@ class TestHoldoutSplit:
 
 
 class TestForecastCsv:
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "id,V1,V2\nD1,1,2\nD2,5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        one, two = read_forecast_csv(plain), read_forecast_csv(marked)
+        assert list(two) == list(one) == ["D1", "D2"]
+        assert all(np.array_equal(one[sid], two[sid]) for sid in one)
+
     def test_round_trip(self, tmp_path, rng):
         fcs = {"D1": rng.normal(0, 1, 14), "D2": rng.normal(0, 1, 6)}
         path = tmp_path / "f.csv"

@@ -1,5 +1,6 @@
 """Pipeline tests: median combination, clipping, provenance, failure policy."""
 
+import os
 import warnings
 from unittest import mock
 
@@ -151,11 +152,17 @@ class TestPipeline:
         assert np.array_equal(out["A"].values, naive_forecast(d["A"].values, 4))
         assert out["A"].method == "Naive"
 
-    def test_thread_counts_agree(self, rng):
+    def test_thread_counts_agree(self, rng, monkeypatch, pool):
         d, _ = make_planted(rng, n_decoys=4)
+        # Chunks of one or two series, so that the members' map has several.
+        monkeypatch.setattr(ensemble, "_CHUNK_POINTS", 100)
+        pool.record(ensemble, "_custom_rows")
         cfg = PipelineConfig(members=("naive", "ses", "custom"), horizon=14)
         seq = pipeline_forecast(d, cfg, threads=1)
+        assert pool() == {os.getpid()}
         par = pipeline_forecast(d, cfg, threads=8)
+        pids = pool()
+        assert pids and os.getpid() not in pids
         assert list(seq) == list(par)
         for sid in seq:
             assert np.array_equal(seq[sid].values, par[sid].values)

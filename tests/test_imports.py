@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import corrcast
+from corrcast import Dataset, TimeSeries, write_values_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -31,6 +34,29 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_process_pool():
     """``multiprocessing`` and ``concurrent.futures`` load only when a pool starts."""
     assert _modules_after_cli_import(("multiprocessing", "concurrent")) == []
+
+
+def test_small_forecast_at_two_threads_starts_no_pool(tmp_path):
+    """On two usable CPUs, ``forecast --threads 2`` on a small corpus runs
+    its correlator scan and its ensemble in one process: neither map's
+    estimated time reaches the break-even, so no pool module loads."""
+    rng = np.random.default_rng(11)
+    data = tmp_path / "values.csv"
+    write_values_csv(Dataset([TimeSeries(f"D{i}", 100 + np.cumsum(rng.normal(0, 1, n)))
+                              for i, n in enumerate(rng.integers(100, 400, 40))]), data)
+    argv = ["forecast", "--data", str(data), "--out", str(tmp_path / "out"), "--horizon", "14",
+            "--threads", "2", "--no-timestamp"]
+    code = ("import sys; from corrcast import _parallel; "
+            "_parallel._usable_cpus = lambda: 2; from corrcast.cli import main; "
+            f"rc = main({argv!r}); "
+            "print(' '.join(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent'))); sys.exit(rc)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
+    assert (tmp_path / "out" / "forecast.csv").exists()
 
 
 PUBLIC = [

@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.mark.parametrize("threads", [0, -3])
 def test_threads_below_one_raise(threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
-        indexed_map(abs, 4, threads)
+        indexed_map(abs, 4, threads, 1.0)
 
 
 def _pid(i):
@@ -36,27 +36,26 @@ def test_one_usable_cpu_runs_in_process(monkeypatch, affinity, cpus):
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert indexed_map(_pid, 6, threads=2) == [os.getpid()] * 6
+    assert indexed_map(_pid, 6, 2, 10.0) == [os.getpid()] * 6
 
 
 def test_one_item_runs_in_process():
-    assert indexed_map(_pid, 1, threads=4) == [os.getpid()]
+    assert indexed_map(_pid, 1, 4, 10.0) == [os.getpid()]
 
 
 def test_two_usable_cpus_fork(monkeypatch):
     monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
-    pids = indexed_map(_pid, 6, threads=2)
+    pids = indexed_map(_pid, 6, 2, 10.0)
     assert len(pids) == 6 and os.getpid() not in pids
 
 
-@pytest.mark.parametrize("n, threads, forks", [(5, 2, False), (6, 2, True), (4, 3, False),
-                                               (4, 8, True), (3, 8, False)])
-def test_fork_only_to_take_min_saved_items_off(monkeypatch, n, threads, forks):
-    # A pool takes n less ceil(n / workers) items off this process; the
-    # workers are capped at n and at the usable CPUs (4 here).
-    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 4)
-    pids = indexed_map(_pid, n, threads=threads, min_saved=3)
-    assert (os.getpid() not in pids) == forks
+@pytest.mark.parametrize("below, forks", [(1e-9, False), (0.0, True), (-1.0, True)])
+def test_fork_only_from_the_break_even(monkeypatch, below, forks):
+    """A map forks when its estimated one-thread time reaches the break-even
+    and runs in this process just below it."""
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+    pids = indexed_map(_pid, 6, 2, _parallel._POOL_BREAK_EVEN_S - below)
+    assert len(pids) == 6 and (os.getpid() not in pids) == forks
 
 
 def _short_series(n=60, seed=5):
@@ -67,36 +66,19 @@ def _short_series(n=60, seed=5):
                     for i, k in enumerate(rng.integers(15, 40, n))])
 
 
-# A chunk budget that splits _short_series (about 1.6k points) into enough
-# chunks that a pool of two workers takes _POOL_MIN_CHUNKS of them off the
-# main process, so that a run at threads 2 forks.
+# A chunk budget that splits _short_series (about 1.6k points) into several
+# chunks, so that a run at threads 2 can fork.
 SMALL_CHUNK = 200
 
 
 @pytest.fixture
-def small_chunks(monkeypatch, tmp_path):
-    """Chunks of SMALL_CHUNK points, two usable CPUs whatever the host has,
-    and the pids that ran the decomposition kernel, read back from a file
-    the workers append to."""
+def small_chunks(monkeypatch, pool):
+    """Chunks of SMALL_CHUNK points and a pool for any map of two or more;
+    returns the pids that ran the decomposition kernel since the last call."""
     monkeypatch.setattr(ensemble, "_CHUNK_POINTS", SMALL_CHUNK)
-    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
-    chunks = len(ensemble._chunks(_short_series()))
-    assert chunks - -(-chunks // 2) >= ensemble._POOL_MIN_CHUNKS
-    log = tmp_path / "pids"
-    kernel = ensemble._custom_rows
-
-    def recording(series, h):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return kernel(series, h)
-
-    monkeypatch.setattr(ensemble, "_custom_rows", recording)
-
-    def pids():
-        pids = {int(line) for line in log.read_text().split()}
-        log.unlink()
-        return pids
-    return pids
+    assert len(ensemble._chunks(_short_series())) > 1
+    pool.record(ensemble, "_custom_rows")
+    return pool
 
 
 def _warned(action, threads):
@@ -145,9 +127,10 @@ def test_cli_stderr_equal_at_threads_1_and_2(tmp_path):
         out = tmp_path / f"out{threads}"
         argv = ["validate", "--data", str(data), "--no-correlator", "--horizon", "7",
                 "--out", str(out), "--threads", threads, "--no-timestamp"]
-        # The CLI with the chunk budget at SMALL_CHUNK points.
-        script = (f"import sys; from corrcast import ensemble; "
-                  f"ensemble._CHUNK_POINTS = {SMALL_CHUNK}; "
+        # The CLI with the chunk budget at SMALL_CHUNK points and a pool
+        # for any map of two or more chunks.
+        script = (f"import sys; from corrcast import _parallel, ensemble; "
+                  f"ensemble._CHUNK_POINTS = {SMALL_CHUNK}; _parallel._POOL_BREAK_EVEN_S = 0; "
                   f"from corrcast.cli import main; sys.exit(main({argv!r}))")
         proc = subprocess.run([sys.executable, "-c", script],
                               env=env, capture_output=True, text=True, timeout=120)

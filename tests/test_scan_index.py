@@ -367,11 +367,11 @@ def _rule_masks(engine, data, w):
 
 
 @pytest.mark.parametrize("kind", ["ragged", "short_total", "floor", "zeros", "cond", "straddle"])
-def test_build_rules_on_edge_corpora(rng, kind):
+def test_build_rules_on_edge_corpora(rng, pool, kind):
     """The build's eligible and tight windows are those of the rules applied
     window by window; windows that run into the next series have std 0 and
     are never eligible; both scan paths agree, and the candidates are the
-    same at one and two threads."""
+    same at one thread and in a pool of two."""
     w = 14
     data = Dataset([TimeSeries(f"S{i}", v) for i, v in enumerate(_edge_corpus(rng, kind, w))])
     engine = CorrelationEngine(data, CorrelatorParams(w=w))
@@ -397,6 +397,7 @@ def test_build_rules_on_edge_corpora(rng, kind):
     for j in range(len(data)):
         for r_threshold in THRESHOLDS:
             assert_paths_agree(engine, j, r_threshold)
-    cands = [indexed_map(lambda j: engine.candidates(j, 0.99), len(data), threads)
+    cands = [indexed_map(lambda j: engine.candidates(j, 0.99), len(data), threads,
+                         engine.sweep_seconds(0.99))
              for threads in (1, 2)]
     assert all(np.array_equal(a, b) for one, two in zip(*cands) for a, b in zip(one, two))
