@@ -12,9 +12,13 @@ that holds it). The audit convolves each unordered pair once and both
 targets read their half (the AB/BA-join symmetry of Matrix Profile's STOMP),
 in tiles of series of neighbouring lengths that share each spectrum. Series
 with bit-identical standardized values are scanned once, as their first
-member. Segment sums come from per-series prefix sums, r' is evaluated over
-flat batches of alignments, and only the best match per target is kept (no
-all-pairs matrix is materialized).
+member. A series scanned against itself stops at tau = n // 2, where its
+source segment stops overlapping its own tail: past that every series
+would offer the trivial match of a self-join (Yeh et al., Matrix Profile
+I, 2016), which the levels of a random walk score near 1. Segment sums
+come from per-series prefix sums, r' is evaluated over flat batches of
+alignments, and only the best match per target is kept (no all-pairs
+matrix is materialized).
 """
 
 from __future__ import annotations
@@ -194,8 +198,9 @@ class GlobalScanEngine:
                     same.append(g)
                 self._group[j] = g
         self._rep = np.array(reps, dtype=np.int64)
-        # Alignments tau run over [max(w, 1), n_k - w]; tau = 0 has no
-        # overlap to correlate. Shorter groups are targets only.
+        # Alignments tau run over [max(w, 1), n_k - w], n_k // 2 at most
+        # for a self pair; tau = 0 has no overlap to correlate. Shorter
+        # groups are targets only.
         w = margin
         self._lo = max(w, 1)
         self._n = self._size[self._rep]
@@ -306,7 +311,10 @@ class GlobalScanEngine:
                 for row, i in enumerate(at[pick]):
                     g, h, a, b = int(lo[i]), int(hi[i]), int(n_lo[i]), int(n_hi[i])
                     if g in targets and self._source[h]:
-                        segments.append((g, h, conv[row, lo_w - 1: b - w]))
+                        # A self pair stops at tau = n // 2, where the source
+                        # segment stops overlapping the target's tail.
+                        end = min(b - w, b // 2) if h == g else b - w
+                        segments.append((g, h, conv[row, lo_w - 1: end]))
                         size += segments[-1][2].size
                     if h != g and h in targets and self._source[g]:
                         segments.append((h, g, conv[row, b + w - 1: a + b - lo_w][::-1]))
@@ -378,7 +386,8 @@ class GlobalScanEngine:
             return best
 
         # Every target group reads n - margin - lo + 1 alignments of each
-        # source group; every unordered pair of groups with a source is scanned.
+        # source group (fewer of itself); every unordered pair of groups
+        # with a source is scanned.
         sizes = np.where(self._source, self._n - self.margin - self._lo + 1, 0)
         only = int(self._n.size - self._source.sum())
         pairs = (self._n.size * (self._n.size + 1) - only * (only + 1)) // 2

@@ -70,12 +70,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    def date_of(self, position: int) -> date | None:
-        """Calendar date of the 0-based value position (one value per day)."""
-        if self.start_date is None:
-            return None
-        return date.fromordinal(self.start_date.toordinal() + position)
-
 
 class Dataset:
     """Ordered, immutable collection of series with unique ids.

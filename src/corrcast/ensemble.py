@@ -33,7 +33,8 @@ import numpy as np
 from ._parallel import indexed_map
 from .correlator import CorrelatorMatch, CorrelatorParams, run_correlator
 from .dataset import Dataset, read_forecast_csv
-from .forecasters import Forecast, _custom_rows, custom_forecast, naive_forecast, ses_forecast
+from .forecasters import (Forecast, _custom_long_enough, _custom_rows, custom_forecast,
+                          naive_forecast, ses_forecast)
 
 BUILTIN_MEMBERS: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
     "naive": naive_forecast,
@@ -204,7 +205,8 @@ def pipeline_forecast(dataset: Dataset, config: PipelineConfig, threads: int = 1
         by_horizon: dict[int, list[int]] = {}
         for j, (ts, h) in enumerate(zip(chunk, horizons)):
             match = matches.get(ts.id)
-            if chunked and len(ts) >= 2 * h + 4 and (match is None or len(match.forecast) < h):
+            if (chunked and _custom_long_enough(len(ts), h)
+                    and (match is None or len(match.forecast) < h)):
                 by_horizon.setdefault(h, []).append(j)
         batched: list[dict[str, np.ndarray] | None] = [None] * len(chunk)
         for h, picked in by_horizon.items():

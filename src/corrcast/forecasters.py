@@ -21,8 +21,8 @@ and residual values, and line fits, forecasts and scores as row
 reductions. It decomposes each series twice, without the holdout to pick
 the combination and in full to forecast it, and it scores the four
 combinations of each series at once. A series gets the same bits in any
-chunk. ``custom_forecast`` and ``decompose_classical`` are its one-series
-case.
+chunk. ``custom_forecast`` is its one-series case, and
+``decompose_classical`` is its decomposition step applied to one series.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class Decomposition:
     trend: np.ndarray
     seasonal: np.ndarray
     residual: np.ndarray
-    period: int
 
 
 def naive_forecast(series, h: int) -> np.ndarray:
@@ -86,12 +85,12 @@ def naive_forecast(series, h: int) -> np.ndarray:
     return np.full(h, series[-1])
 
 
-def ses_forecast(series, h: int, alpha: float | None = None) -> np.ndarray:
+def ses_forecast(series, h: int) -> np.ndarray:
     """Simple exponential smoothing: constant forecast at the final level.
 
-    level[0] = y[0]; level[t] = alpha*y[t] + (1-alpha)*level[t-1]. When
-    ``alpha`` is None it is chosen from a 0.05..0.95 grid by minimizing the
-    in-sample one-step squared error (ties go to the smallest alpha).
+    level[0] = y[0]; level[t] = alpha*y[t] + (1-alpha)*level[t-1], with
+    alpha chosen from a 0.05..0.95 grid by minimizing the in-sample
+    one-step squared error (ties go to the smallest alpha).
     """
     series = np.asarray(series, dtype=np.float64)
     if series.size == 0:
@@ -99,12 +98,6 @@ def ses_forecast(series, h: int, alpha: float | None = None) -> np.ndarray:
     if h < 1:
         raise ValueError(f"horizon must be positive, got {h}")
     last = divmod(series.size - 1, _SES_BLOCK)
-    if alpha is not None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if alpha == 1.0:
-            return naive_forecast(series, h)
-        return np.full(h, _ses_levels(series, _ses_kernel([alpha]))[last[0], 0, last[1]])
     levels = _ses_levels(series, _SES_GRID)
     # y[t + 1] - level[t] in the levels' layout, 0 from t = n - 1 on.
     ahead = np.zeros(levels.shape[0] * _SES_BLOCK)
@@ -170,77 +163,66 @@ def _ses_levels(series: np.ndarray, kernel) -> np.ndarray:
 _SES_GRID = _ses_kernel(SES_ALPHA_GRID)
 
 
-def _trend_filter(period: int) -> np.ndarray:
-    """Weights of the centred moving average of ``period``: a 2 x period
-    average (period + 1 weights) for an even period, a plain one otherwise."""
-    if period % 2 == 0:
-        filt = np.full(period + 1, 1.0 / period)
-        filt[0] = filt[-1] = 0.5 / period
-        return filt
-    return np.full(period, 1.0 / period)
-
-
-_TREND_FILTER_2 = _trend_filter(2)
+# Weights of the period-2 centred moving average, a 2 x 2 average.
+_TREND_FILTER = np.array([0.25, 0.5, 0.25])
 _PAD = np.zeros(1)
 
 
-def _phase_means(detrended: np.ndarray, lo: np.ndarray, hi: np.ndarray, period: int) -> np.ndarray:
-    """Seasonal means, centred to sum to zero over one period, of the series
-    whose detrended interiors are ``detrended[lo[r]:hi[r]]``, as a
-    (rows, period) array whose column p is the phase of positions t with
-    t % period == p.
+def _decompose(flat: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The period-2 decomposition of the series held in ``flat``: the trend
+    and detrended values of every position, and the seasonal phase means of
+    each row, whose detrended interior is ``detrended[lo[r]:hi[r]]``.
 
-    Each interior spans a period, starts at series position period // 2
-    and at a multiple of period in ``detrended``, so phase p is one residue
-    of the flat index for every row. Each residue is summed as segments of
-    its strided view; the segments may overlap, and whatever lies between
-    them is summed into values that are thrown away. ``detrended`` must run
-    at least a period past the largest ``hi``, so that every segment bound
-    is inside each view.
+    trend[i] and detrended[i] belong to flat position i + 1; the trend is
+    one moving average over all of ``flat``, so the values it takes across
+    a join between two series are never read. Two trailing zeros pad
+    ``detrended``. The means come as a (rows, 2) array, centred to sum to
+    zero, whose column p is the phase of series positions t with t % 2 ==
+    p. Each interior starts at series position 1 and at an even index of
+    ``detrended``, so phase p is one parity of the flat index for every
+    row. Each parity is summed as segments of its strided view; the
+    segments may overlap, and whatever lies between them is summed into
+    values that are thrown away. The largest ``hi`` must be at most
+    ``flat.size - 2``, so that every segment bound is inside each view.
     """
+    # The filter is symmetric, so its convolution is the centred average.
+    trend = np.convolve(flat, _TREND_FILTER, mode="valid")
+    detrended = np.zeros(flat.size)
+    np.subtract(flat[1:-1], trend, out=detrended[:-2])
     bounds = np.empty(2 * lo.size, dtype=np.intp)
     bounds[0::2] = lo
     bounds[1::2] = hi
-    means = np.empty((lo.size, period))
-    for q in range(period):
+    means = np.empty((lo.size, 2))
+    for q in range(2):
         # First index of the view at or after each bound.
-        idx = (bounds + (period - 1 - q)) // period
-        means[:, (q + period // 2) % period] = (np.add.reduceat(detrended[q::period], idx)[0::2]
-                                                / (idx[1::2] - idx[0::2]))
-    means -= np.add.reduce(means, axis=1, keepdims=True) / period
-    return means
+        idx = (bounds + (1 - q)) // 2
+        means[:, 1 - q] = (np.add.reduceat(detrended[q::2], idx)[0::2]
+                           / (idx[1::2] - idx[0::2]))
+    means -= np.add.reduce(means, axis=1, keepdims=True) / 2
+    return trend, detrended, means
 
 
-def decompose_classical(series, period: int = 2) -> Decomposition:
-    """Classical additive decomposition by centered moving average.
+def decompose_classical(series) -> Decomposition:
+    """Classical additive decomposition by a period-2 centred moving average.
 
-    For the default period 2 the trend filter has weights (0.25, 0.5, 0.25)
-    and is undefined at the first and last position. The seasonal component
-    is the per-phase mean of the detrended values, centered to sum to zero
-    over one period and repeated over the series. This is the decomposition
-    ``custom_forecast`` makes, for one series.
+    The trend filter has weights (0.25, 0.5, 0.25) and is undefined at the
+    first and last position. The seasonal component is the per-phase mean
+    of the detrended values, centred to sum to zero over one period and
+    repeated over the series. This is the decomposition ``custom_forecast``
+    makes, for one series.
     """
     series = np.asarray(series, dtype=np.float64)
     n = series.size
-    if period < 2:
-        raise ValueError(f"period must be >= 2, got {period}")
-    # Every phase needs a defined detrended value: the interior left by the
-    # trend filter, n - 2 (period // 2) points, must span a period.
-    shortest = max(4, period + 2 * (period // 2))
-    if n < shortest:
-        raise ValueError(f"series too short to decompose: {n} points, period {period} "
-                         f"needs at least {shortest}")
-    margin = period // 2
+    # Both phases need a defined detrended value.
+    if n < 4:
+        raise ValueError(f"series too short to decompose: {n} points, period 2 needs at least 4")
+    interior, _, means = _decompose(series, np.array([0]), np.array([n - 2]))
     trend = np.full(n, np.nan)
-    # The filter is symmetric, so its convolution is the centred average.
-    trend[margin : n - margin] = np.convolve(series, _trend_filter(period), mode="valid")
-    interior = n - 2 * margin
-    detrended = np.zeros(interior + period)
-    np.subtract(series[margin : n - margin], trend[margin : n - margin], out=detrended[:interior])
-    means = _phase_means(detrended, np.array([0]), np.array([interior]), period)[0]
-    seasonal = means[np.arange(n) % period]
+    trend[1:-1] = interior
+    seasonal = means[0][np.arange(n) % 2]
     residual = series - trend - seasonal
-    return Decomposition(trend=trend, seasonal=seasonal, residual=residual, period=period)
+    return Decomposition(trend=trend, seasonal=seasonal, residual=residual)
 
 
 def _line_terms(widths: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,15 +275,21 @@ _RESID_STRATEGY = np.array([0, 1, 0, 1])
 _TAIL_TERMS = _line_terms(np.arange(STRATEGY_TAIL + 1), STRATEGY_TAIL)
 
 
+def _custom_long_enough(n: int, h: int) -> bool:
+    """Whether a series of n points is long enough for the decomposition
+    member at horizon h; ``custom_forecast`` gives a shorter one the naive
+    forecast, and the ensemble keeps it out of the chunk kernel."""
+    return n >= 2 * h + 4
+
+
 def _custom_rows(series: Sequence[np.ndarray], h: int) -> tuple[np.ndarray, np.ndarray]:
-    """``custom_forecast`` of each of ``series`` (float64 arrays at least
-    2h + 4 long), as the rows of a (K, h) array, with each series' chosen
-    combo as an index into ``_STRATEGY_COMBOS``.
+    """``custom_forecast`` of each of ``series`` (float64 arrays long
+    enough by ``_custom_long_enough``), as the rows of a (K, h) array, with
+    each series' chosen combo as an index into ``_STRATEGY_COMBOS``.
 
     The series are held end to end in one flat array, each from an even
-    position (an odd-length series is followed by one padding value). One
-    moving average gives the period-2 trend of all of them; the values it
-    takes across a join between two series are never read. Each series is
+    position (an odd-length series is followed by one padding value), and
+    one ``_decompose`` call decomposes all of them. Each series is
     decomposed twice, without its last h points (the fit) and in full, and
     both decompositions read that one trend. Every per-series sum is a
     segment or row reduction over that series' values alone, so a series'
@@ -311,26 +299,16 @@ def _custom_rows(series: Sequence[np.ndarray], h: int) -> tuple[np.ndarray, np.n
     """
     k = len(series)
     lengths = np.fromiter(map(len, series), np.intp, k)
-    if k == 1:
-        flat = series[0]
-        starts = np.zeros(1, dtype=np.intp)
-    else:
-        flat = np.concatenate([part for y in series
-                               for part in ((y, _PAD) if y.size % 2 else (y,))])
-        starts = np.add.accumulate(lengths + (lengths & 1)) - (lengths + (lengths & 1))
+    flat = np.concatenate([part for y in series
+                           for part in ((y, _PAD) if y.size % 2 else (y,))])
+    starts = np.add.accumulate(lengths + (lengths & 1)) - (lengths + (lengths & 1))
     # Rows 0..k-1 decompose the fits, rows k..2k-1 the full series. Row r's
     # interior, positions 1 to its length - 2, is detrended[lo:hi], and
     # series position t sits at flat position lo + t.
     lo = np.concatenate((starts, starts))
     hi = np.concatenate((lengths - h, lengths)) + lo - 2
     with np.errstate(all="ignore"):
-        # The filter is symmetric, so its convolution is the centred average.
-        trend = np.convolve(flat, _TREND_FILTER_2, mode="valid")
-        # detrended[i] and trend[i] belong to flat position i + 1; two
-        # trailing zeros keep every segment bound inside the phase views.
-        detrended = np.zeros(flat.size)
-        np.subtract(flat[1:-1], trend, out=detrended[:-2])
-        means = _phase_means(detrended, lo, hi, 2)
+        trend, detrended, means = _decompose(flat, lo, hi)
 
         # Per row, the flat positions from STRATEGY_TAIL before the
         # interior's end to h past the row's end: the tail, the undefined
@@ -393,7 +371,7 @@ def custom_forecast(series, h: int) -> np.ndarray:
         raise ValueError("cannot forecast an empty series")
     if h < 1:
         raise ValueError(f"horizon must be positive, got {h}")
-    if series.size < 2 * h + 4:
+    if not _custom_long_enough(series.size, h):
         warnings.warn(
             f"series of length {series.size} too short for the decomposition "
             f"method with horizon {h}; falling back to naive"

@@ -2,7 +2,7 @@
 
 import os
 import warnings
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -412,6 +412,43 @@ def test_planted_leaks_recovered_exactly(tmp_path):
                for p in truth["leak_plants"])
     counts = {c: len(found) for c, found in report.categories.items()}
     assert counts == {**truth["leak_counts"], "date_unknown": 0}
+
+
+def _null_corpus(seed, n=8000, walks=12, short=1000):
+    """Random walks of n points, the least self-similar corpus an audit
+    sees, with the bench's plant shapes: two T1 (a walk's first third
+    affine-copied onto its last third) and one each of T3 and T4 (a whole
+    short series affine-copied from a window of a walk, with the same start
+    date as that window or a shifted one). Returns the dataset and the
+    plants as (target, source, tau, category)."""
+    rng = np.random.default_rng(seed)
+    ys = [np.cumsum(rng.normal(0.0, 1.0, n)) for _ in range(walks)]
+    starts = [date(1990, 1, 1) + timedelta(days=int(d)) for d in rng.integers(0, 9000, walks)]
+    plants = set()
+    for j in (0, 1):
+        third = n // 3
+        ys[j][-third:] = rng.uniform(0.5, 2.0) * ys[j][:third] + rng.uniform(-50.0, 50.0)
+        plants.add((f"W{j}", f"W{j}", third, "T1"))
+    series = [_dated(f"W{j}", y, start) for j, (y, start) in enumerate(zip(ys, starts))]
+    for k, (cat, shift) in zip((2, 3), (("T3", 0), ("T4", 400))):
+        tau = int(rng.integers(short, n - W + 1))
+        copy = rng.uniform(0.5, 2.0) * ys[k][tau - short: tau] + rng.uniform(-50.0, 50.0)
+        start = starts[k] + timedelta(days=tau - short + shift)
+        series.append(_dated(f"C{k}", copy, start))
+        plants.add((f"C{k}", f"W{k}", tau, cat))
+    return Dataset(series), plants
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_null_corpus_returns_exactly_its_plants(seed):
+    # A walk's levels correlate with themselves at small lags, so without
+    # the self pair's n // 2 bound about a third of these walks matched
+    # themselves at tau = n - W, r' >= 0.995, and were filed as T1.
+    d, plants = _null_corpus(seed)
+    matches = find_global_matches(d)
+    found = {(m.target_id, m.source_id, m.tau, c)
+             for c, ms in categorize(matches, d).items() for m in ms}
+    assert found == plants
 
 
 def test_next_fast_len_matches_scipy():

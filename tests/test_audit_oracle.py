@@ -5,9 +5,11 @@ For every target the oracle evaluates every (source, tau) alignment in
 (k, tau) order with ``global_cross_correlation`` (Pearson on the extracted
 segments) and applies the scan's validity rule independently: overlap
 m >= 2 and both segments' variances, on each series standardized by
-``np.std``, above ``_SEGMENT_VAR_FLOOR``. The chosen r' must match the
-oracle at the chosen alignment within 1e-9, and the chosen (k, tau) must be
-the first whose oracle r' is within 1e-9 of the oracle maximum.
+``np.std``, above ``_SEGMENT_VAR_FLOOR``. A target and its verbatim
+duplicates are a self pair, whose alignments stop at tau = n // 2. The
+chosen r' must match the oracle at the chosen alignment within 1e-9, and
+the chosen (k, tau) must be the first whose oracle r' is within 1e-9 of
+the oracle maximum.
 
 The inputs sit at the scan's edges: verbatim duplicate series (exact ties),
 affine plants of one series' tail in another (r' of 1), runs whose
@@ -59,7 +61,12 @@ def oracle(d: Dataset, j: int, margin: int) -> list[Alignment]:
     for k, zk in enumerate(zs):
         if zk is None or zk.size < 2 * margin:
             continue
-        for tau in range(margin, zk.size - margin + 1):
+        last = zk.size - margin
+        if np.array_equal(d.series[k].values, d.series[j].values):
+            # The target itself, or a verbatim duplicate: past n // 2 the
+            # source segment overlaps the target's tail.
+            last = min(last, zk.size // 2)
+        for tau in range(margin, last + 1):
             m = min(n_j, tau)
             if m < 2:
                 continue

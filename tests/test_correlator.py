@@ -286,7 +286,9 @@ def _uses_future_oracle(d, match):
     target, source = d[match.target_id], d[match.source_id]
     if target.start_date is None or source.start_date is None:
         return None
-    return source.date_of(match.tau + W - 1) >= target.date_of(len(target))
+    consumed_end = date.fromordinal(source.start_date.toordinal() + match.tau + W - 1)
+    first_forecast = date.fromordinal(target.start_date.toordinal() + len(target))
+    return consumed_end >= first_forecast
 
 
 class TestRunCorrelator:

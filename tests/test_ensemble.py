@@ -274,10 +274,15 @@ class TestEnsembleCombine:
 
 def _mixed(rng, n=40):
     """Random walks of 5-400 points with horizons 1-14 of their own: some
-    too short for the decomposition member, some odd and some even."""
-    return Dataset([TimeSeries(f"M{i}", 500 + np.cumsum(rng.normal(0, 1, int(k))),
-                               horizon=int(rng.integers(1, 15)))
-                    for i, k in enumerate(rng.integers(5, 400, n))])
+    too short for the decomposition member, some odd and some even. Last
+    come lengths 2h + 3 and 2h + 4 at h of 1 and 14, on either side of the
+    member's length rule."""
+    series = [TimeSeries(f"M{i}", 500 + np.cumsum(rng.normal(0, 1, int(k))),
+                         horizon=int(rng.integers(1, 15)))
+              for i, k in enumerate(rng.integers(5, 400, n))]
+    series += [TimeSeries(f"E{h}_{k}", 500 + np.cumsum(rng.normal(0, 1, k)), horizon=h)
+               for h in (1, 14) for k in (2 * h + 3, 2 * h + 4)]
+    return Dataset(series)
 
 
 class TestChunks:

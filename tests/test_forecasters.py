@@ -127,7 +127,7 @@ def old_decompose_classical(series, period=2):
     phase_means -= phase_means.mean()
     seasonal = np.tile(phase_means, n // period + 1)[:n]
     residual = series - trend - seasonal
-    return Decomposition(trend=trend, seasonal=seasonal, residual=residual, period=period)
+    return Decomposition(trend=trend, seasonal=seasonal, residual=residual)
 
 
 def old_linear_extrapolate(tail, h, gap=0):
@@ -174,7 +174,7 @@ def old_decomposed_forecast(series, h, trend_strategy, resid_strategy):
     n = series.size
     trend_fc = _old_strategy_forecast(dec.trend, trend_strategy, h)
     resid_fc = _old_strategy_forecast(dec.residual, resid_strategy, h)
-    seasonal_fc = dec.seasonal[(n + np.arange(h)) % dec.period]
+    seasonal_fc = dec.seasonal[(n + np.arange(h)) % 2]
     return trend_fc + resid_fc + seasonal_fc
 
 
@@ -260,19 +260,20 @@ class TestNaive:
             naive_forecast([], 3)
 
 
-class TestSes:
-    def test_alpha_one_is_naive(self, rng):
-        for _ in range(5):
-            y = rng.normal(0, 1, int(rng.integers(2, 60)))
-            assert np.array_equal(ses_forecast(y, 4, alpha=1.0), naive_forecast(y, 4))
+def scan_levels(y, alphas):
+    """The blocked scan's levels for ``alphas``, one row per alpha."""
+    levels = _ses_levels(y, _ses_kernel(alphas))
+    return levels.transpose(1, 0, 2).reshape(len(alphas), -1)[:, : y.size]
 
+
+class TestSes:
     def test_constant_series(self):
         assert ses_forecast(np.full(20, 3.5), 3).tolist() == [3.5] * 3
 
     def test_frozen_recursion_oracle(self):
         # levels of [1,2,3,4] at alpha 0.5 are 1, 1.5, 2.25, 3.125
-        fc = ses_forecast([1.0, 2.0, 3.0, 4.0], 2, alpha=0.5)
-        assert fc == pytest.approx([3.125, 3.125], abs=1e-12)
+        level = scan_levels(np.array([1.0, 2.0, 3.0, 4.0]), [0.5])[0, -1]
+        assert level == pytest.approx(3.125, abs=1e-12)
 
     def test_levels_match_loop(self, rng):
         y = rng.normal(0, 1, 40)
@@ -280,17 +281,11 @@ class TestSes:
         level = y[0]
         for v in y[1:]:
             level = alpha * v + (1 - alpha) * level
-        assert ses_forecast(y, 1, alpha=alpha)[0] == pytest.approx(level, rel=1e-12)
+        assert scan_levels(y, [alpha])[0, -1] == pytest.approx(level, rel=1e-12)
 
     def test_grid_selection_deterministic(self, rng):
         y = rng.normal(0, 1, 80)
         assert np.array_equal(ses_forecast(y, 5), ses_forecast(y, 5))
-
-
-def scan_levels(y, alphas):
-    """The blocked scan's levels for ``alphas``, one row per alpha."""
-    levels = _ses_levels(y, _ses_kernel(alphas))
-    return levels.transpose(1, 0, 2).reshape(len(alphas), -1)[:, : y.size]
 
 
 def oracle_grid_choice(y):
@@ -326,7 +321,6 @@ class TestSesScan:
             got = scan_levels(y, [alpha])[0]
             want = np.array(oracle_ses_levels(y.tolist(), alpha))
             assert np.abs(got - want).max() <= 1e-12 * scale, alpha
-            assert abs(ses_forecast(y, 1, alpha=alpha)[0] - want[-1]) <= 1e-12 * scale, alpha
         fc = ses_forecast(y, 3)
         if np.all(y == y[0]):
             assert np.all(levels == y[0])
@@ -336,7 +330,6 @@ class TestSesScan:
             # The oracle's alpha is clear, so the forecast is the scan's
             # final level at that alpha, bit for bit.
             assert fc.tolist() == [levels[order[0], -1]] * 3
-        assert np.array_equal(ses_forecast(y, 2, alpha=1.0), naive_forecast(y, 2))
 
     @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 32, 33, 16 * 40 - 1, 16 * 40 + 1,
                                    16 * 620 - 1, 16 * 620 + 1])
@@ -403,25 +396,19 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose_classical([1.0, 2.0, 3.0])
 
-    @pytest.mark.parametrize("period", range(2, 8))
-    def test_rejects_lengths_that_leave_a_phase_undefined(self, period):
-        # The interior left by the trend filter must span a period: n >= 2p
-        # for even p, 2p - 1 for odd p (and 4 at least).
-        shortest = max(4, 2 * period if period % 2 == 0 else 2 * period - 1)
-        decompose_classical(np.arange(shortest, dtype=float) ** 2, period)
-        for n in range(1, shortest):
-            with pytest.raises(ValueError, match=rf"{n} points, period {period}"):
-                decompose_classical(np.arange(n, dtype=float) ** 2, period)
+    def test_rejects_fewer_than_four_points(self):
+        # Both phases need a defined detrended value.
+        decompose_classical(np.arange(4, dtype=float) ** 2)
+        for n in range(1, 4):
+            with pytest.raises(ValueError, match=rf"{n} points, period 2 needs at least 4"):
+                decompose_classical(np.arange(n, dtype=float) ** 2)
 
-    @pytest.mark.parametrize("period", range(2, 8))
-    def test_matches_nanmean_tile_formulation(self, rng, period):
-        shortest = max(4, 2 * period if period % 2 == 0 else 2 * period - 1)
-        for n in (*range(shortest, shortest + 2 * period + 1), 97, 250):
+    def test_matches_nanmean_tile_formulation(self, rng):
+        for n in (*range(4, 9), 97, 250):
             for offset in (0.0, -1e6, 1e9):
                 y = offset + np.cumsum(rng.normal(0.0, 1.0, n))
-                got = decompose_classical(y, period)
-                want = old_decompose_classical(y, period)
-                assert got.period == want.period == period
+                got = decompose_classical(y)
+                want = old_decompose_classical(y)
                 assert np.isfinite(got.seasonal).all()
                 atol = 1e-12 * np.abs(y).max()
                 for part in ("trend", "seasonal", "residual"):
@@ -489,25 +476,28 @@ class TestCustom:
         assert np.array_equal(custom_forecast(y, 14), custom_forecast(y, 14))
 
     def test_decomposes_fit_then_full_series_once_each(self, rng, monkeypatch):
-        # One call of the phase means takes both interiors: the series
+        # One call of the decomposition step takes both interiors: the series
         # without its holdout, then the full series. Each decomposition is
         # decompose_classical's, bit for bit.
         calls = []
-        phase_means = forecasters._phase_means
+        decompose = forecasters._decompose
 
-        def recording(detrended, lo, hi, period):
-            means = phase_means(detrended, lo, hi, period)
-            calls.append((lo.tolist(), hi.tolist(), means))
-            return means
+        def recording(flat, lo, hi):
+            out = decompose(flat, lo, hi)
+            calls.append((lo.tolist(), hi.tolist(), out))
+            return out
 
-        monkeypatch.setattr(forecasters, "_phase_means", recording)
+        monkeypatch.setattr(forecasters, "_decompose", recording)
         y = np.cumsum(rng.normal(0.0, 1.0, 300))
         custom_forecast(y, 14)
+        monkeypatch.setattr(forecasters, "_decompose", decompose)
         assert [(lo, hi) for lo, hi, _ in calls] == [([0, 0], [300 - 14 - 2, 300 - 2])]
-        monkeypatch.setattr(forecasters, "_phase_means", phase_means)
-        means = calls[0][2]
-        assert same_bits(means[0], decompose_classical(y[:-14]).seasonal[:2])
-        assert same_bits(means[1], decompose_classical(y).seasonal[:2])
+        trend, detrended, means = calls[0][2]
+        for row, n in enumerate((300 - 14, 300)):
+            want = decompose_classical(y[:n])
+            assert same_bits(means[row], want.seasonal[:2])
+            assert same_bits(trend[: n - 2], want.trend[1:-1])
+            assert same_bits(detrended[: n - 2] - want.seasonal[1:-1], want.residual[1:-1])
 
     def test_undefined_mase_takes_first_combo(self):
         assert kernel_rows([np.full(40, 7.0)], 14)[1] == [("linear", "linear")]
