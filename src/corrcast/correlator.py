@@ -24,16 +24,26 @@ norm sqrt(w)), r = 1 - |qhat - what|^2 / 2w, so r >= t bounds the distance
 by sqrt(2w(1 - t)), and so |qhat.u - what.u| for any unit zero-sum u (the
 GEMINI lower bound: Faloutsos, Ranganathan & Manolopoulos, SIGMOD 1994).
 The engine stores two such coordinates of every eligible window, along
-DCT-II rows 1 and 2, in the order of the first: sorted fixed-point int32
-keys, int16 second coordinates and int32 flat positions, 10 bytes per
-window. A target binary-searches the keys within that radius plus a
-rounding slack, keeps the windows of that contiguous range whose second
-coordinate lies within the same radius, prunes those by a gathered
-matrix-vector r with a margin for its rounding, and takes the kernel's r at
-the survivors: the same arrays as the full scan. Windows too
-ill-conditioned for the slack (std tiny against the series' magnitude) skip
-the index. When the range is dense -- loose thresholds, near-linear tails
--- the full scan runs instead.
+DCT-II rows 1 and 2, in the order of the first: one sorted int64 per window
+holding the fixed-point key in its high 32 bits and the flat position in
+its low 32, and an int16 second coordinate, 10 bytes per window. A target
+binary-searches the keys within that radius plus a rounding slack, keeps
+the windows of that contiguous range whose second coordinate lies within
+the same radius, prunes those by a gathered matrix-vector r with a margin
+for its rounding, and takes the kernel's r at the survivors: the same
+arrays as the full scan. Windows too ill-conditioned for the slack (std
+tiny against the series' magnitude) skip the index. When the range is
+dense -- loose thresholds, near-linear tails -- the full scan runs instead.
+
+Memory: the engine keeps about 27 bytes per point: the centered values and
+the window stds (8 each), the index (10 per eligible window) and the
+eligibility mask (1). Its build sorts the index in place and copies no
+full-size array of it, so its peak is what it keeps plus about 2 MB of
+block temporaries (in place of the centered values and the sorted second
+coordinates it holds the raw values and the second coordinates by flat
+position). A scan's block-sized temporaries (the kernel's terms and
+divisor, the sparse path's gathered windows and their indices) live in two
+``_BLOCK``-sized buffers that the engine reuses for every block and target.
 
 Two historical defects of the original submission are reproducible behind
 flags: ``bug1`` disables the method for every series past file position
@@ -45,6 +55,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -58,6 +69,9 @@ from .stats import _std_floor, _window_moments, _window_r
 # 1-based file position of the last series the bug1 submission variant
 # still processed.
 BUG1_CUTOFF = 2138
+
+# The flat position in the low 32 bits of an index entry.
+_POS_MASK = 2**32 - 1
 
 # (ks, taus, rs, win_std, cont_std) of a scan without candidates.
 _EMPTY_SCAN = tuple(np.empty(0, dt) for dt in (np.int64, np.int64, np.float64,
@@ -146,7 +160,9 @@ class CorrelationEngine:
     target's query.
 
     Build once per (dataset, window length); individual targets can then be
-    scanned independently, which is what the parallel runner exploits.
+    scanned independently, which is what the parallel runner exploits. Its
+    workers are forked processes: one engine scans one target at a time,
+    as its scans share scratch buffers.
     Series k occupies ``offsets[k]:offsets[k+1]`` of the flat arrays, and
     the window ending at tau has flat position ``offsets[k] + tau - w``, so
     flat order is (k, tau) order.
@@ -190,7 +206,7 @@ class CorrelationEngine:
         n = int(self.offsets[-1])
         if n >= 2**31:
             raise ValueError(f"{n} values exceed the index's int32 positions")
-        # Flat values: raw for the build's moments and floors, then centered.
+        # Flat raw values, for the build's moments and floors only.
         flat = np.empty(n)
         peaks = np.empty(len(dataset))
         # Every target's final window; zeros for a target shorter than w.
@@ -235,10 +251,11 @@ class CorrelationEngine:
         # floors inside the floored bounds, so the fixed point needs no slack.
         bits = int(np.ceil(np.log2(np.sqrt(w))))
         self._scale, self._scale2 = 2.0 ** (30 - bits), 2.0 ** (14 - bits)
-        # Key and position packed in one little-endian int64 (key high,
-        # position low) sort in place, with no index array; the second
-        # coordinate, stored by flat position, follows its position.
-        packed = np.empty(n, dtype="<i8")
+        # Key and position packed in one int64 (key high, position low) sort
+        # in place, with no index array, and the sorted array is the index;
+        # the second coordinate, stored by flat position, follows its
+        # position.
+        packed = np.empty(n, dtype=np.int64)
         coord2 = np.zeros(n, dtype=np.int16)
         loose = [np.empty(0, dtype=np.int32)]
         m = 0
@@ -267,18 +284,30 @@ class CorrelationEngine:
             m += idx.size
         self._std.flags.writeable = False
         self._valid.flags.writeable = False
-        for ts, a in zip(dataset, self.offsets[:-1]):
-            np.subtract(ts.values, ts.values.mean(), out=flat[a : a + len(ts)])
-        self._centered = flat
         self._loose = np.concatenate(loose)
-        packed = packed[:m]
+        # The raw copy goes first, and the index is shrunk and sorted in
+        # place and gathered from by slices: no full-size copy of it is made.
+        del flat
+        packed.resize(m, refcheck=False)
         packed.sort()
-        words = packed.view("<i4")
-        self._pos = words[0::2].copy()
-        self._keys = words[1::2].copy()
-        del packed, words
-        self._coord2 = np.take(coord2, self._pos)
+        self._index = packed
+        self._coord2 = np.empty(m, dtype=np.int16)
+        for s in range(0, m, self._BLOCK):
+            self._coord2[s : s + self._BLOCK] = coord2[packed[s : s + self._BLOCK] & _POS_MASK]
         del coord2
+        # The centered values are a new array, not the raw one centered in
+        # place. Freeing the raw copy (n float64, mapped by glibc) raises
+        # glibc's dynamic mmap threshold to its size and the heap's trim
+        # threshold to twice that, as long as it is at most 32 MB (4M
+        # points). Then the candidate arrays of dense targets come from the
+        # heap and stay mapped for the next target. Centered in place, the
+        # raw copy is never freed, and the heap was trimmed after each dense
+        # target: sweep-smooth seed 3 on one thread took 3.7-4.0k minor
+        # faults per pass over its targets, against 0.5k in the first pass
+        # (half of them the scratch buffers') and none after.
+        self._centered = np.empty(n)
+        for ts, a in zip(dataset, self.offsets[:-1]):
+            np.subtract(ts.values, ts.values.mean(), out=self._centered[a : a + len(ts)])
         # Each target's scan query: its final window normalised to zero mean
         # and unit std, with the window's mean and std; None where the
         # window is degenerate, by the sources' rule.
@@ -316,27 +345,59 @@ class CorrelationEngine:
             # kernel's r.
             c2_lo, c2_hi = np.floor((np.dot(qhat, self._u2) + np.array([-radius, radius]))
                                     * self._scale2)
-            windows = sliding_window_view(self._centered, w)
             step = self._BLOCK // w
             kept = [self._loose]
             for s in range(lo, hi, step):
                 e = min(s + step, hi)
                 c2 = self._coord2[s:e]
-                pos = self._pos[s:e][(c2 >= c2_lo) & (c2 <= c2_hi)]
-                r = (windows[pos] @ qhat) / (w * self._std[pos])
+                pos = self._index[s:e][(c2 >= c2_lo) & (c2 <= c2_hi)] & _POS_MASK
+                r = (self._gather(pos) @ qhat) / (w * self._std[pos])
                 kept.append(pos[r >= r_threshold - 2 * self._r_slack])
-            pos = np.sort(np.concatenate(kept))
-            r = np.concatenate([np.empty(0)] + [
-                _window_r(windows[p], self._std[p], qhat)
-                for p in (pos[s : s + step] for s in range(0, pos.size, step))
-            ])
-            hit = r >= r_threshold
-            pos, r = pos[hit], r[hit]
+            kept = np.sort(np.concatenate(kept))
+            # The kernel's r of the survivors, its buffers in the gather's
+            # index buffer, which the gathered windows no longer need.
+            out = self._scratch[1, :step], self._scratch[1, step : 2 * step]
+            pos, rs = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+            for s in range(0, kept.size, step):
+                p = kept[s : s + step]
+                r = _window_r(self._gather(p), self._std[p], qhat, out)
+                hit = r >= r_threshold
+                pos.append(p[hit])
+                rs.append(r[hit])
+            pos, r = np.concatenate(pos), np.concatenate(rs)
         if not self.params.include_self:
             keep = (pos < self.offsets[j]) | (pos >= self.offsets[j + 1])
             pos, r = pos[keep], r[keep]
-        ks = np.searchsorted(self.offsets, pos, side="right") - 1
-        return ks, pos - self.offsets[ks] + w, r, self._std[pos], self._std[pos + w]
+        # The outputs in place, with no candidate-sized temporaries: pos
+        # becomes the continuation's flat position, offsets[k] + tau.
+        ks = np.searchsorted(self.offsets, pos, side="right")
+        ks -= 1
+        win_std = self._std[pos]
+        pos += w
+        taus = self.offsets[ks]
+        np.subtract(pos, taus, out=taus)
+        return ks, taus, r, win_std, self._std[pos]
+
+    def _gather(self, pos: np.ndarray) -> np.ndarray:
+        """The centered windows at flat positions ``pos`` (at most
+        ``_BLOCK // w`` of them) as a (len(pos), w) view of the first scratch
+        buffer, gathered through an index matrix in the second; the next
+        gather overwrites both."""
+        w = self.params.w
+        idx = self._scratch[1].view(np.int64)[: w * pos.size].reshape(pos.size, w)
+        np.add(pos[:, None], np.arange(w), out=idx)
+        # The indices are in range; "clip" writes straight into ``out``,
+        # where the default "raise" would gather into a copy first.
+        return np.take(self._centered, idx, mode="clip",
+                       out=self._scratch[0, : w * pos.size].reshape(pos.size, w))
+
+    @cached_property
+    def _scratch(self) -> np.ndarray:
+        """Two float64 buffers of ``_BLOCK`` entries, made at the first scan
+        and reused by every block and target, so that no scan's block-sized
+        temporaries come from malloc, which maps and unmaps them, faulting
+        in every page, once they reach its mmap threshold."""
+        return np.empty((2, self._BLOCK))
 
     def _radius(self, r_threshold: float) -> float:
         """Search radius of a coordinate at ``r_threshold``: |qhat.u - what.u|
@@ -347,10 +408,10 @@ class CorrelationEngine:
     def _key_range(self, centre, radius: float):
         """Index range [lo, hi) of the keys within ``radius`` of ``centre``,
         a query's first coordinate or an array of them."""
-        lo, hi = (np.floor((centre + d) * self._scale).clip(-(2**31), 2**31 - 1).astype(np.int32)
+        lo, hi = (np.floor((centre + d) * self._scale).clip(-(2**31), 2**31 - 1).astype(np.int64)
                   for d in (-radius, radius))
-        return (np.searchsorted(self._keys, lo, side="left"),
-                np.searchsorted(self._keys, hi, side="right"))
+        return (np.searchsorted(self._index, lo << 32, side="left"),
+                np.searchsorted(self._index, (hi << 32) | _POS_MASK, side="right"))
 
     def _dense(self, size):
         """Whether a key range of ``size`` entries takes the full scan."""
@@ -382,10 +443,11 @@ class CorrelationEngine:
         pos, rs = [np.empty(0, dtype=np.int64)], [np.empty(0)]
         for s in range(0, len(windows), self._BLOCK):
             e = min(s + self._BLOCK, len(windows))
-            r = _window_r(windows[s:e], self._std[s:e], qhat)
+            r = _window_r(windows[s:e], self._std[s:e], qhat, self._scratch)
             hit = np.flatnonzero(self._valid[s:e] & (r >= r_threshold))
-            pos.append(hit + s)
             rs.append(r[hit])
+            hit += s
+            pos.append(hit)
         return np.concatenate(pos), np.concatenate(rs)
 
     def candidates(self, j: int, r_threshold: float | None = None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -41,12 +41,32 @@ class LoadError(ValueError):
     """Raised when an input file violates the expected format."""
 
 
+def _read_only_float64(values) -> bool:
+    """Whether ``values`` is a native float64 ndarray that neither it nor
+    any of its bases lets anyone write: an array that owns its memory, or a
+    view whose chain of bases ends at one."""
+    if type(values) is not np.ndarray or values.dtype != np.float64:
+        return False
+    while isinstance(values, np.ndarray):
+        if values.flags.writeable:
+            return False
+        values = values.base
+    return values is None
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """One univariate series: id, float64 values, and optional metadata.
 
     Values are stored read-only so a loaded dataset can be shared freely
-    across worker processes and threads.
+    across worker processes and threads. A float64 ndarray that is
+    read-only, and all of whose bases are too (such as a read-only view of a
+    read-only array), is adopted as it is: the series shares its memory, and
+    the caller hands over values that nobody writes. Every other input, a
+    writeable array or a view of one included, is copied into a new
+    read-only float64 array (a float32 or int input is converted), so a
+    caller's later writes never reach the series. Values that are empty,
+    not 1-D or not finite raise ValueError, adopted or copied.
     """
 
     id: str
@@ -56,15 +76,16 @@ class TimeSeries:
     start_date: date | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = self.values
+        if not _read_only_float64(vals):
+            vals = np.array(vals, dtype=np.float64)
+            vals.flags.writeable = False
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError(f"series {self.id!r} must hold a non-empty 1-D value array")
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"series {self.id!r} contains non-finite values")
         if self.horizon < 1:
             raise ValueError(f"series {self.id!r} has non-positive horizon {self.horizon}")
-        vals = vals.copy()
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -187,11 +208,16 @@ def read_forecast_csv(path: str | Path) -> dict[str, np.ndarray]:
 def load_m4_values(path: str | Path) -> Dataset:
     """Load a ragged M4 values CSV into a Dataset (see ``read_forecast_csv``).
 
-    Each row is dropped once its series holds a copy, so the values are
-    not held twice.
+    A file without series is a LoadError. Each row's array is private to
+    this call, so it is made read-only and the series adopts it: the values
+    are held once.
     """
     rows = read_forecast_csv(path)
-    return Dataset(TimeSeries(id=sid, values=rows.pop(sid)) for sid in list(rows))
+    if not rows:
+        raise LoadError(f"{path}: no series")
+    for values in rows.values():
+        values.flags.writeable = False
+    return Dataset(TimeSeries(id=sid, values=values) for sid, values in rows.items())
 
 
 def _parse_start_date(text: str) -> date | None:
@@ -215,9 +241,11 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
     A leading UTF-8 byte-order mark is dropped, and blank lines are
     skipped. An empty id, a repeated id and a horizon that is not a whole
     number >= 1 ("14" and "14.0" are) are errors naming the row or the
-    series. Unparseable dates produce a warning and are treated as absent.
+    series. Unparseable dates are treated as absent, with one warning that
+    counts them.
     """
     records: dict[str, InfoRecord] = {}
+    unparsed = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -261,14 +289,17 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
                 raw = row[date_col]
                 start = _parse_start_date(raw)
                 if start is None and raw.strip():
-                    warnings.warn(
-                        f"unparseable start date {raw!r} for series {sid!r}; treated as absent"
-                    )
+                    unparsed.append(f"{sid!r} ({raw!r})")
             records[sid] = InfoRecord(
                 frequency_label=label or "Daily",
                 horizon=int(horizon),
                 start_date=start,
             )
+    if unparsed:
+        warnings.warn(
+            f"{len(unparsed)} of {len(records)} series have an unparseable start date and "
+            f"are treated as undated (first: {', '.join(unparsed[:5])})"
+        )
     return records
 
 
@@ -277,7 +308,8 @@ def attach_meta(dataset: Dataset, info: Mapping[str, InfoRecord]) -> Dataset:
 
     Series without an info record keep their current metadata, with one
     warning that counts them. Daily series whose length falls outside the
-    expected range trigger a warning only.
+    expected range are counted in one more warning only. The new series
+    share the input's values.
     """
     missing = [ts.id for ts in dataset if ts.id not in info]
     if missing:
@@ -287,25 +319,22 @@ def attach_meta(dataset: Dataset, info: Mapping[str, InfoRecord]) -> Dataset:
             f"horizon and start date (first: {first})"
         )
     out = []
+    odd = []
+    lo, hi = DAILY_LENGTH_RANGE
     for ts in dataset:
         rec = info.get(ts.id)
         if rec is None:
             out.append(ts)
             continue
-        new = TimeSeries(
-            id=ts.id,
-            values=ts.values,
-            frequency_label=rec.frequency_label,
-            horizon=rec.horizon,
-            start_date=rec.start_date,
+        if rec.frequency_label == "Daily" and not lo <= len(ts) <= hi:
+            odd.append(f"{ts.id!r} ({len(ts)})")
+        out.append(replace(ts, frequency_label=rec.frequency_label, horizon=rec.horizon,
+                           start_date=rec.start_date))
+    if odd:
+        warnings.warn(
+            f"{len(odd)} Daily series have a length outside the expected range "
+            f"[{lo}, {hi}] (first: {', '.join(odd[:5])})"
         )
-        lo, hi = DAILY_LENGTH_RANGE
-        if new.frequency_label == "Daily" and not lo <= len(new) <= hi:
-            warnings.warn(
-                f"Daily series {new.id!r} has length {len(new)}, outside the expected "
-                f"range [{lo}, {hi}]"
-            )
-        out.append(new)
     return Dataset(out)
 
 
@@ -314,7 +343,8 @@ def holdout_split(dataset: Dataset, h: int) -> HoldoutSplit:
 
     Every series must be strictly longer than ``h``; violations name the
     offending series. Concatenating train and test values reproduces the
-    original series exactly.
+    original series exactly. The train series are views of the input's
+    values when those are read-only (see ``TimeSeries``).
     """
     if h < 1:
         raise ValueError(f"holdout length must be positive, got {h}")
@@ -325,15 +355,7 @@ def holdout_split(dataset: Dataset, h: int) -> HoldoutSplit:
             raise ValueError(
                 f"series {ts.id!r} has length {len(ts)} <= holdout length {h}"
             )
-        train.append(
-            TimeSeries(
-                id=ts.id,
-                values=ts.values[:-h],
-                frequency_label=ts.frequency_label,
-                horizon=ts.horizon,
-                start_date=ts.start_date,
-            )
-        )
+        train.append(replace(ts, values=ts.values[:-h]))
         test[ts.id] = ts.values[-h:].copy()
     return HoldoutSplit(train=Dataset(train), test=test)
 

@@ -74,18 +74,23 @@ def _window_moments(windows: np.ndarray, rows=()) -> tuple[np.ndarray, np.ndarra
     return mean, np.sqrt(var, out=var), dots
 
 
-def _window_r(windows: np.ndarray, std: np.ndarray, qhat: np.ndarray) -> np.ndarray:
+def _window_r(windows: np.ndarray, std: np.ndarray, qhat: np.ndarray,
+              out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """r of every row of ``windows`` (globally centered values, a view or a
     gathered copy) against a normalized query: sum_i qhat[i] * windows[:, i]
     / (w * std), the products summed left to right, clipped to [-1, 1].
     Rows whose std is 0 get NaN or +-1; callers mask invalid windows.
+
+    ``out`` is a pair of float64 buffers of at least one entry per row, which
+    the scans reuse: the result is a view of the first, the second holds the
+    terms and the divisor, and the call allocates no array of its own.
     """
-    w = qhat.size
-    acc = windows[:, 0] * qhat[0]
-    term = np.empty_like(acc)
+    m, w = windows.shape[0], qhat.size
+    acc, term = (b[:m] for b in out)
+    np.multiply(windows[:, 0], qhat[0], out=acc)
     for i in range(1, w):
         acc += np.multiply(windows[:, i], qhat[i], out=term)
     with np.errstate(divide="ignore", invalid="ignore"):
-        acc /= w * std
+        acc /= np.multiply(std, w, out=term)
     return np.clip(acc, -1.0, 1.0, out=acc)
 

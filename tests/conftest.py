@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -178,6 +179,24 @@ def pool(monkeypatch, tmp_path):
     monkeypatch.setattr(_parallel, "_POOL_BREAK_EVEN_S", 0.0)
     monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
     return PoolPids(monkeypatch, tmp_path / "pids")
+
+
+def traced(fn):
+    """(fn(), kept, peak): the bytes that tracemalloc, to which numpy
+    reports its data allocations, sees still held after the call and at its
+    peak, both above what was held before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, kept - base, peak - base
 
 
 def match_bits(best):

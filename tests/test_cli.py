@@ -517,6 +517,20 @@ class TestInvalidValues:
         assert "threads" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["forecast", "evaluate", "sweep", "audit", "validate"])
+    def test_values_file_without_series_exits_1(self, toy_env, capsys, command):
+        """A values file with a header and no series fails the run, instead
+        of writing empty outputs."""
+        _, test, tmp = toy_env
+        data = tmp / "empty.csv"
+        data.write_text("id,V1,V2\n")
+        out = tmp / "out"
+        extra = {"sweep": ["--test", test], "evaluate": ["--test", test, "--forecast", test]}
+        argv = [command, "--data", str(data), "--out", str(out), *extra.get(command, [])]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {data}: no series\n"
+        assert not out.exists()
+
     def test_std_ratio_nan_config_exits_2(self, toy_env, capsys):
         # NaN fails every comparison, so it would refuse every match.
         data, _, tmp = toy_env

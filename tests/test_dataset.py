@@ -72,6 +72,21 @@ class TestLoadValues:
         path = write_lines(tmp_path / "v.csv", ["id,V1", "D1,1", " ,2"])
         refused_by_both(path, "row 3 has an empty series id")
 
+    @pytest.mark.parametrize("lines", [["id,V1,V2"], ["id,V1,V2", "", ""]])
+    def test_file_without_series_refused(self, tmp_path, lines):
+        """A header and no series is no dataset; the reader of forecast and
+        test files still returns an empty map."""
+        path = write_lines(tmp_path / "v.csv", lines)
+        with pytest.raises(LoadError) as exc:
+            load_m4_values(path)
+        assert str(exc.value) == f"{path}: no series"
+        assert read_forecast_csv(path) == {}
+
+    def test_series_adopt_the_rows_they_were_read_from(self, tmp_path):
+        path = write_lines(tmp_path / "v.csv", ["id,V1,V2,V3", "D1,1,2,3", "D2,5,4"])
+        for ts in load_m4_values(path):
+            assert ts.values.base is None and not ts.values.flags.writeable
+
     def test_quoted_m4_row(self, tmp_path):
         path = write_lines(tmp_path / "v.csv", ['"V1","V2","V3"', '"D1","1.5","2"'])
         d = load_m4_values(path)
@@ -149,6 +164,33 @@ class TestInfo:
         assert d["D1"].horizon == 14
         assert d["D1"].start_date == date(1994, 1, 1)
 
+    def test_daily_lengths_out_of_range_warn_once(self, tmp_path):
+        """Out-of-range Daily lengths are counted in one warning that names
+        the first five; other labels and in-range lengths are not counted."""
+        lengths = [3, 100, 4, 5, 6, 7, 10000, 8]
+        data = Dataset([TimeSeries(f"D{i}", np.arange(float(n))) for i, n in enumerate(lengths)]
+                       + [TimeSeries("W", np.arange(3.0))])
+        info = write_lines(tmp_path / "i.csv", [self.HEADER, "W,1,7,Weekly,2001-02-03"]
+                           + [f"D{i},1,14,Daily,2001-02-03" for i in range(len(lengths))])
+        with pytest.warns(UserWarning) as caught:
+            attach_meta(data, load_m4_info(info))
+        assert [str(w.message) for w in caught] == [
+            "7 Daily series have a length outside the expected range [93, 9919] "
+            "(first: 'D0' (3), 'D2' (4), 'D3' (5), 'D4' (6), 'D5' (7))"
+        ]
+
+    def test_attach_and_split_share_the_values(self, tmp_path):
+        vals = write_lines(tmp_path / "v.csv", ["id,V1,V2,V3,V4", "D1,1,2,3,4", "D2,5,4,3"])
+        info = write_lines(tmp_path / "i.csv", [self.HEADER, "D1,1,2,Weekly,2001-02-03",
+                                                "D2,1,2,Weekly,2001-02-03"])
+        loaded = load_m4_values(vals)
+        attached = attach_meta(loaded, load_m4_info(info))
+        split = holdout_split(attached, 2)
+        for ts in loaded:
+            assert attached[ts.id].values is ts.values
+            assert split.train[ts.id].values.base is ts.values
+            assert split.train[ts.id].values.tolist() == ts.values[:-2].tolist()
+
     def test_series_without_info_row_warn_once(self, tmp_path):
         info = write_lines(tmp_path / "i.csv", [self.HEADER, "D1,1,2,Weekly,2001-02-03"])
         records = load_m4_info(info)
@@ -172,11 +214,17 @@ class TestInfo:
     def test_unparseable_date_warns_and_absent(self, tmp_path):
         info = write_lines(
             tmp_path / "i.csv",
-            ["M4id,Frequency,Horizon,SP,StartingDate", "D1,1,14,Daily,not-a-date"],
+            ["M4id,Frequency,Horizon,SP,StartingDate", "D1,1,14,Daily,not-a-date",
+             "D2,1,14,Daily,1994-01-01", "D3,1,14,Daily,", "D4,1,14,Daily,31-31-1999"],
         )
-        with pytest.warns(UserWarning, match="unparseable"):
+        with pytest.warns(UserWarning) as caught:
             records = load_m4_info(info)
-        assert records["D1"].start_date is None
+        assert [str(w.message) for w in caught] == [
+            "2 of 4 series have an unparseable start date and are treated as undated "
+            "(first: 'D1' ('not-a-date'), 'D4' ('31-31-1999'))"
+        ]
+        assert [records[f"D{i}"].start_date for i in (1, 3, 4)] == [None, None, None]
+        assert records["D2"].start_date == date(1994, 1, 1)
 
     def test_frequency_column_is_not_read(self, tmp_path):
         info = write_lines(
@@ -222,6 +270,55 @@ class TestInfo:
         d = load_m4_values(vals)
         assert d["D1"].start_date is None
         assert d["D1"].horizon == 14
+
+
+class TestAdoption:
+    """A series adopts a read-only float64 array and copies anything else."""
+
+    @staticmethod
+    def frozen(values):
+        values = np.array(values, dtype=np.float64)
+        values.flags.writeable = False
+        return values
+
+    def test_writeable_input_is_copied(self):
+        values = np.arange(5.0)
+        ts = TimeSeries("A", values)
+        values[0] = 99.0
+        assert ts.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert not np.shares_memory(ts.values, values)
+        assert not ts.values.flags.writeable
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        values = np.arange(5.0)
+        view = values[1:]
+        view.flags.writeable = False
+        ts = TimeSeries("A", view)
+        values[1] = 99.0
+        assert ts.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("values", [np.arange(5, dtype=np.float32), np.arange(5),
+                                        [0, 1, 2, 3, 4], np.arange(5.0).astype(">f8")])
+    def test_other_types_are_converted(self, values):
+        if isinstance(values, np.ndarray):
+            values.flags.writeable = False
+        ts = TimeSeries("A", values)
+        assert ts.values.dtype == np.dtype(np.float64)
+        assert ts.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert not ts.values.flags.writeable
+
+    def test_read_only_float64_is_shared(self):
+        values = self.frozen(np.arange(5.0))
+        assert TimeSeries("A", values).values is values
+        view = values[1:4]
+        assert TimeSeries("B", view).values is view
+
+    @pytest.mark.parametrize("bad", [[1.0, np.nan], [np.inf], [], [[1.0, 2.0]]])
+    @pytest.mark.parametrize("adopted", [False, True])
+    def test_bad_values_raise_adopted_or_not(self, bad, adopted):
+        values = self.frozen(bad) if adopted else np.array(bad, dtype=np.float64)
+        with pytest.raises(ValueError, match="'A'"):
+            TimeSeries("A", values)
 
 
 class TestHoldoutSplit:

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from corrcast import CorrelatorParams, Dataset, TimeSeries, pearson
-from corrcast.correlator import _EMPTY_SCAN, CorrelationEngine, _dct_row
+from corrcast.correlator import _EMPTY_SCAN, _POS_MASK, CorrelationEngine, _dct_row
 from corrcast._parallel import indexed_map
 from corrcast.stats import ConstantInputError, _window_moments
 from conftest import bench_corpus, make_multi_planted
@@ -377,7 +377,7 @@ def test_build_rules_on_edge_corpora(rng, pool, kind):
     engine = CorrelationEngine(data, CorrelatorParams(w=w))
     eligible, tight = _rule_masks(engine, data, w)
     assert np.array_equal(engine._valid, eligible)
-    assert np.array_equal(np.sort(engine._pos), np.flatnonzero(tight))
+    assert np.array_equal(np.sort(engine._index & _POS_MASK), np.flatnonzero(tight))
     assert np.array_equal(engine._loose, np.flatnonzero(eligible & ~tight))
     for end in engine.offsets[1:]:
         assert not engine._std[max(end - w + 1, 0) : end].any()

@@ -13,7 +13,7 @@ from corrcast import (
     pearson,
 )
 from corrcast.correlator import _dct_row
-from corrcast.stats import _window_moments
+from corrcast.stats import _window_moments, _window_r
 
 
 def direct_pearson(a, b):
@@ -179,3 +179,24 @@ class TestSlidingCorrelations:
         assert taus.size == 0
         data = Dataset([TimeSeries("Q", np.ones(14)), TimeSeries("S", rng.normal(0, 1, 100))])
         assert CorrelationEngine(data, CorrelatorParams()).forecast(0) is None
+
+
+def test_window_r_into_buffers_matches_the_plain_formula(rng):
+    """The kernel writes its r into a view of the first ``out`` buffer, both
+    longer than the stack, with the bits of the plain left-to-right formula,
+    on a strided view and on a gathered copy alike."""
+    w = 14
+    series = np.cumsum(rng.normal(0.0, 1.0, 500))
+    windows = sliding_window_view(series - series.mean(), w)
+    std = windows.std(axis=1)
+    q = rng.normal(0.0, 1.0, w)
+    qhat = (q - q.mean()) / q.std()
+    out = np.full(1000, np.nan), np.full(1000, np.nan)
+    for stack, sd in ((windows, std), (windows[::3].copy(), std[::3])):
+        want = stack[:, 0] * qhat[0]
+        for i in range(1, w):
+            want += stack[:, i] * qhat[i]
+        want = np.clip(want / (w * sd), -1.0, 1.0)
+        got = _window_r(stack, sd, qhat, out)
+        assert np.shares_memory(got, out[0]) and got.size == sd.size
+        assert got.tobytes() == want.tobytes()
