@@ -41,9 +41,9 @@ eligibility mask (1). Its build sorts the index in place and copies no
 full-size array of it, so its peak is what it keeps plus about 2 MB of
 block temporaries (in place of the centered values and the sorted second
 coordinates it holds the raw values and the second coordinates by flat
-position). A scan's block-sized temporaries (the kernel's terms and
-divisor, the sparse path's gathered windows and their indices) live in two
-``_BLOCK``-sized buffers that the engine reuses for every block and target.
+position). The scan kernel's block-sized result, terms and divisor live
+in two ``_BLOCK``-sized buffers that the engine reuses for every block and
+target.
 
 Two historical defects of the original submission are reproducible behind
 flags: ``bug1`` disables the method for every series past file position
@@ -345,22 +345,20 @@ class CorrelationEngine:
             # kernel's r.
             c2_lo, c2_hi = np.floor((np.dot(qhat, self._u2) + np.array([-radius, radius]))
                                     * self._scale2)
+            windows = sliding_window_view(self._centered, w)
             step = self._BLOCK // w
             kept = [self._loose]
             for s in range(lo, hi, step):
                 e = min(s + step, hi)
                 c2 = self._coord2[s:e]
                 pos = self._index[s:e][(c2 >= c2_lo) & (c2 <= c2_hi)] & _POS_MASK
-                r = (self._gather(pos) @ qhat) / (w * self._std[pos])
+                r = (windows[pos] @ qhat) / (w * self._std[pos])
                 kept.append(pos[r >= r_threshold - 2 * self._r_slack])
             kept = np.sort(np.concatenate(kept))
-            # The kernel's r of the survivors, its buffers in the gather's
-            # index buffer, which the gathered windows no longer need.
-            out = self._scratch[1, :step], self._scratch[1, step : 2 * step]
             pos, rs = [np.empty(0, dtype=np.int64)], [np.empty(0)]
             for s in range(0, kept.size, step):
                 p = kept[s : s + step]
-                r = _window_r(self._gather(p), self._std[p], qhat, out)
+                r = _window_r(windows[p], self._std[p], qhat, self._scratch)
                 hit = r >= r_threshold
                 pos.append(p[hit])
                 rs.append(r[hit])
@@ -368,35 +366,16 @@ class CorrelationEngine:
         if not self.params.include_self:
             keep = (pos < self.offsets[j]) | (pos >= self.offsets[j + 1])
             pos, r = pos[keep], r[keep]
-        # The outputs in place, with no candidate-sized temporaries: pos
-        # becomes the continuation's flat position, offsets[k] + tau.
-        ks = np.searchsorted(self.offsets, pos, side="right")
-        ks -= 1
-        win_std = self._std[pos]
-        pos += w
-        taus = self.offsets[ks]
-        np.subtract(pos, taus, out=taus)
-        return ks, taus, r, win_std, self._std[pos]
-
-    def _gather(self, pos: np.ndarray) -> np.ndarray:
-        """The centered windows at flat positions ``pos`` (at most
-        ``_BLOCK // w`` of them) as a (len(pos), w) view of the first scratch
-        buffer, gathered through an index matrix in the second; the next
-        gather overwrites both."""
-        w = self.params.w
-        idx = self._scratch[1].view(np.int64)[: w * pos.size].reshape(pos.size, w)
-        np.add(pos[:, None], np.arange(w), out=idx)
-        # The indices are in range; "clip" writes straight into ``out``,
-        # where the default "raise" would gather into a copy first.
-        return np.take(self._centered, idx, mode="clip",
-                       out=self._scratch[0, : w * pos.size].reshape(pos.size, w))
+        ks = np.searchsorted(self.offsets, pos, side="right") - 1
+        return ks, pos - self.offsets[ks] + w, r, self._std[pos], self._std[pos + w]
 
     @cached_property
     def _scratch(self) -> np.ndarray:
-        """Two float64 buffers of ``_BLOCK`` entries, made at the first scan
-        and reused by every block and target, so that no scan's block-sized
-        temporaries come from malloc, which maps and unmaps them, faulting
-        in every page, once they reach its mmap threshold."""
+        """Two float64 buffers of ``_BLOCK`` entries for the kernel, made at
+        the first scan and reused by every block and target, so that the full
+        scan's 512 KB temporaries do not come from malloc, which maps and
+        unmaps them, faulting in every page, once they reach its mmap
+        threshold."""
         return np.empty((2, self._BLOCK))
 
     def _radius(self, r_threshold: float) -> float:
@@ -445,9 +424,8 @@ class CorrelationEngine:
             e = min(s + self._BLOCK, len(windows))
             r = _window_r(windows[s:e], self._std[s:e], qhat, self._scratch)
             hit = np.flatnonzero(self._valid[s:e] & (r >= r_threshold))
+            pos.append(hit + s)
             rs.append(r[hit])
-            hit += s
-            pos.append(hit)
         return np.concatenate(pos), np.concatenate(rs)
 
     def candidates(self, j: int, r_threshold: float | None = None):

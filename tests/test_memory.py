@@ -2,9 +2,9 @@
 
 A series holds its values once: the loaded rows are adopted, and
 ``attach_meta`` and ``holdout_split`` share them. The engine's build keeps
-about 27 bytes per point and allocates little beyond it; its scans take
-their block-sized temporaries from buffers reused across blocks and
-targets. Allocations are read with tracemalloc (``conftest.traced``).
+about 27 bytes per point and allocates little beyond it; its full scan
+takes the kernel's block-sized arrays from buffers reused across blocks
+and targets. Allocations are read with tracemalloc (``conftest.traced``).
 """
 
 import numpy as np
@@ -55,24 +55,15 @@ def test_attach_meta_and_holdout_split_share_the_values(walks):
         assert np.shares_memory(split.train[ts.id].values, ts.values)
 
 
-@pytest.mark.parametrize("dense", [True, False])
-def test_a_repeated_scan_allocates_less_than_a_block(walks, dense):
-    """Once an engine has scanned, scanning again allocates less than one
-    float64 block: the kernel's terms and divisor, and the sparse path's
-    gathered windows, live in the engine's reused buffers."""
+def test_a_repeated_full_scan_allocates_less_than_a_block(walks):
+    """Once an engine has scanned, a full scan allocates less than one
+    float64 block: the kernel's result, terms and divisor live in the
+    engine's reused buffers."""
     engine = CorrelationEngine(walks, CorrelatorParams())
-    j = next(j for j, tail in enumerate(engine._tails) if tail is not None)
+    qhat = next(tail for tail in engine._tails if tail is not None)[0]
     block = engine._BLOCK * np.dtype(np.float64).itemsize
-    if dense:
-        scan = lambda: engine._full_scan(engine._tails[j][0], 0.9999)  # noqa: E731
-    else:
-        # At r >= 0.9 the key range holds several blocks' worth of windows.
-        engine._DENSE_FRACTION = np.inf
-        scan = lambda: engine._scan(j, engine._tails[j], 0.9)  # noqa: E731
-        lo, hi = engine._key_range(np.dot(engine._tails[j][0], engine._u), engine._radius(0.9))
-        assert hi - lo > engine._BLOCK
-    first = scan()
-    again, _, peak = traced(scan)
+    first = engine._full_scan(qhat, 0.9999)
+    again, _, peak = traced(lambda: engine._full_scan(qhat, 0.9999))
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
     assert peak < block, peak
