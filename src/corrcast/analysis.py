@@ -23,7 +23,7 @@ matrix is materialized).
 
 from __future__ import annotations
 
-import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,10 +33,13 @@ import numpy as np
 
 from ._parallel import indexed_map
 from .correlator import CorrelatorMatch
-from .dataset import Dataset
+from .dataset import Dataset, LoadError, _csv_rows, write_csv
 from .stats import pearson
 
 DEFAULT_AUDIT_THRESHOLD = 0.995
+
+# Width of the overlap histogram's bins.
+DEFAULT_BIN_WIDTH = 100
 
 # Windows this close to either end of the source are not alignment points,
 # mirroring the forecaster's non-terminal window rule.
@@ -408,14 +411,14 @@ def _merge(best: dict[int, tuple], found: Iterable[tuple[int, tuple]]) -> None:
 
 def find_global_matches(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRESHOLD,
                         exclusions: Iterable[tuple[str, str]] | None = None,
-                        margin: int = DEFAULT_MARGIN, threads: int = 1) -> list[GlobalMatch]:
+                        threads: int = 1) -> list[GlobalMatch]:
     """Best global match per target, kept when r' reaches the threshold and
     the (target, source) id pair is not excluded.
 
     The exclusion list models manually discarded pairs (e.g. alignments
     driven by a single large jump in both series).
     """
-    results = GlobalScanEngine(dataset, margin=margin).best_matches(threads)
+    results = GlobalScanEngine(dataset).best_matches(threads)
     matches = []
     for ts, best in zip(dataset, results):
         if best is not None and best[2] >= threshold:
@@ -503,15 +506,22 @@ def check_audit_args(threshold: float, bin_width: int) -> None:
 
 def build_leakage_report(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRESHOLD,
                          exclusions: Iterable[tuple[str, str]] | None = None,
-                         bin_width: int = 100,
+                         bin_width: int = DEFAULT_BIN_WIDTH,
                          correlator_matches: Mapping[str, CorrelatorMatch] | None = None,
-                         margin: int = DEFAULT_MARGIN, threads: int = 1) -> LeakageReport:
+                         threads: int = 1) -> LeakageReport:
     """Run the complete audit and assemble a LeakageReport; the future-use
     fraction is None, with a warning, when a matched pair lacks a start date.
-    The threshold and bin width are checked before the scan."""
+    The threshold and bin width are checked before the scan; exclusion pairs
+    that name an id not in the dataset are counted in one warning."""
     check_audit_args(threshold, bin_width)
-    unfiltered = find_global_matches(dataset, threshold=threshold, margin=margin,
-                                     threads=threads)
+    exclusions = list(exclusions or ())
+    unknown = [f"({t}, {s})" for t, s in exclusions if t not in dataset or s not in dataset]
+    if unknown:
+        warnings.warn(
+            f"{len(unknown)} of {len(exclusions)} exclusion pairs name a series id not in the "
+            f"dataset (first: {', '.join(unknown[:5])})"
+        )
+    unfiltered = find_global_matches(dataset, threshold=threshold, threads=threads)
     matches = _drop_excluded(unfiltered, exclusions)
     categories = categorize(matches, dataset)
     histogram = overlap_histogram(matches, bin_width)
@@ -534,17 +544,21 @@ def build_leakage_report(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRE
 
 
 def load_exclusions_csv(path: str | Path) -> list[tuple[str, str]]:
-    """Read an exclusion list CSV of (target_id, source_id) rows; a header
-    row of non-data labels (e.g. ``j,k``) and a leading UTF-8 byte-order
-    mark are skipped."""
+    """Read an exclusion list CSV of (target_id, source_id) rows, in the
+    format of ``dataset._csv_rows``. A first row whose first cell is a
+    label (``j``, ``target``, ``target_id`` or ``id``) is a header; further
+    columns are ignored. A row without a target and a source id is a
+    LoadError naming the line."""
+    rows = _csv_rows(path)
+    first = next(rows)
+    if first and first[0].strip().lower() not in ("j", "target", "target_id", "id"):
+        rows = itertools.chain([(1, first)], rows)
     pairs = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for row in csv.reader(fh):
-            if len(row) < 2 or not row[0].strip():
-                continue
-            pairs.append((row[0].strip(), row[1].strip()))
-    if pairs and pairs[0][0].lower() in ("j", "target", "target_id", "id"):
-        pairs = pairs[1:]
+    for line, row in rows:
+        pair = tuple(cell.strip() for cell in row[:2])
+        if len(pair) < 2 or not all(pair):
+            raise LoadError(f"{path}: row {line} needs a target id and a source id")
+        pairs.append(pair)
     return pairs
 
 
@@ -556,20 +570,13 @@ def write_global_matches_csv(matches: Sequence[GlobalMatch],
     for label, entries in categories.items():
         for m in entries:
             label_of[(m.target_id, m.source_id, m.tau)] = label
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "tau", "r", "overlap", "category"])
-        for m in matches:
-            writer.writerow([
-                m.target_id, m.source_id, m.tau, repr(m.r_prime), m.overlap,
-                label_of.get((m.target_id, m.source_id, m.tau), ""),
-            ])
+    write_csv(path, ["j", "k", "tau", "r", "overlap", "category"],
+              ([m.target_id, m.source_id, m.tau, repr(m.r_prime), m.overlap,
+                label_of.get((m.target_id, m.source_id, m.tau), "")] for m in matches))
 
 
 def write_histogram_csv(histogram: np.ndarray, bin_width: int, path: str | Path) -> None:
     """Write overlap-length bins as ``bin_start,bin_end,count``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start", "bin_end", "count"])
-        for i, count in enumerate(histogram):
-            writer.writerow([i * bin_width, (i + 1) * bin_width, int(count)])
+    write_csv(path, ["bin_start", "bin_end", "count"],
+              ([i * bin_width, (i + 1) * bin_width, int(count)]
+               for i, count in enumerate(histogram)))

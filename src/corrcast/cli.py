@@ -12,7 +12,6 @@ given on the command line override it. Defaults and checks are those of
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -32,6 +31,7 @@ from .correlator import (
     write_matches_csv,
 )
 from .dataset import (
+    DEFAULT_HORIZON,
     Dataset,
     HoldoutSplit,
     attach_meta,
@@ -39,13 +39,10 @@ from .dataset import (
     load_m4_info,
     load_m4_values,
     read_forecast_csv,
+    write_csv,
     write_forecast_csv,
 )
 from .forecasters import Forecast, naive_forecast
-
-# Holdout length and horizon of ``validate`` when none is given.
-HOLDOUT_HORIZON = 14
-
 
 class ConfigError(ValueError):
     """A config file or flag combination is invalid."""
@@ -136,7 +133,7 @@ PARAMS = {p.key: p for p in (
           "--external", _PIPELINE, "external member forecasts as name=path[,name=path...]"),
     Param("horizon", int, ensemble.PipelineConfig, "horizon", "--horizon", _PIPELINE,
           "forecast horizon (forecast: each series' own by default; validate: also the "
-          f"holdout length, {HOLDOUT_HORIZON} by default)"),
+          f"holdout length, {DEFAULT_HORIZON} by default)"),
     Param("threads", _parse_threads, None, "threads", "--threads", ("evaluate", *_MATCHING),
           "parallel workers (results are thread-count independent)"),
 )}
@@ -231,11 +228,8 @@ def _write_json(payload: dict, path: Path, no_timestamp: bool) -> None:
 def _write_forecasts(forecasts: dict[str, Forecast], out: Path) -> None:
     """forecast.csv, and provenance.csv naming the method of each forecast."""
     write_forecast_csv({sid: fc.values for sid, fc in forecasts.items()}, out / "forecast.csv")
-    with open(out / "provenance.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "method"])
-        for sid, fc in forecasts.items():
-            writer.writerow([sid, fc.method])
+    write_csv(out / "provenance.csv", ["id", "method"],
+              ([sid, fc.method] for sid, fc in forecasts.items()))
 
 
 def _score(forecasts: dict, split: HoldoutSplit, m: int,
@@ -267,11 +261,9 @@ def _write_report(report: metrics.MetricReport, out: Path, no_timestamp: bool) -
         },
     }
     _write_json(payload, out / "report.json", no_timestamp)
-    with open(out / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "mase", "smape"])
-        for sid, (m, s) in report.per_series.items():
-            writer.writerow([sid, "" if m is None else repr(m), repr(s)])
+    write_csv(out / "report.csv", ["id", "mase", "smape"],
+              ([sid, "" if m is None else repr(m), repr(s)]
+               for sid, (m, s) in report.per_series.items()))
 
 
 def cmd_forecast(args) -> int:
@@ -355,11 +347,8 @@ def cmd_sweep(args) -> int:
             row += ["", "", ""]
         rows.append(row)
     out = _out_dir(args)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r_threshold", "std_ratio", "used_count", "used_pct",
-                         "mase", "smape", "owa"])
-        writer.writerows(rows)
+    write_csv(out / "sweep.csv",
+              ["r_threshold", "std_ratio", "used_count", "used_pct", "mase", "smape", "owa"], rows)
     return 0
 
 
@@ -406,7 +395,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    values = {"horizon": HOLDOUT_HORIZON, **_run_values(args)}
+    values = {"horizon": DEFAULT_HORIZON, **_run_values(args)}
     cfg = _pipeline(values)
     dataset = _load_dataset(args)
     _check_past_only(dataset, cfg.correlator)
@@ -480,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("audit", cmd_audit, "global cross-correlation leakage audit")
     p.add_argument("--audit-threshold", type=float, default=analysis.DEFAULT_AUDIT_THRESHOLD,
                    help="minimum global correlation to retain a match")
-    p.add_argument("--bin-width", type=int, default=100,
+    p.add_argument("--bin-width", type=int, default=analysis.DEFAULT_BIN_WIDTH,
                    help="overlap histogram bin width")
     p.add_argument("--exclusions", help="CSV of (target_id, source_id) pairs to discard")
     p.add_argument("--future-use", action=argparse.BooleanOptionalAction, default=None,

@@ -53,7 +53,6 @@ source window instead of the target's final window.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -63,7 +62,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import indexed_map
-from .dataset import Dataset
+from .dataset import Dataset, write_csv
 from .stats import _std_floor, _window_moments, _window_r
 
 # 1-based file position of the last series the bug1 submission variant
@@ -559,9 +558,6 @@ def write_matches_csv(matches: Mapping[str, CorrelatorMatch] | Iterable[Correlat
     """Write accepted matches as ``target_id,source_id,tau,r,used_future``."""
     if isinstance(matches, Mapping):
         matches = matches.values()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target_id", "source_id", "tau", "r", "used_future"])
-        for m in matches:
-            flag = "" if m.used_future is None else str(m.used_future).lower()
-            writer.writerow([m.target_id, m.source_id, m.tau, repr(m.r), flag])
+    write_csv(path, ["target_id", "source_id", "tau", "r", "used_future"],
+              ([m.target_id, m.source_id, m.tau, repr(m.r),
+                "" if m.used_future is None else str(m.used_future).lower()] for m in matches))

@@ -5,6 +5,13 @@ row followed by one row per series, the series id in the first cell and the
 observations in the remaining cells, with trailing empty cells allowed.
 Metadata (seasonal pattern, horizon, starting date) lives in a separate
 info CSV.
+
+This module owns corrcast's CSV format. Every CSV the package reads (the
+ragged files, the info file, the audit's exclusion list) streams through
+``_csv_rows``: UTF-8, a leading byte-order mark dropped, blank lines
+skipped, and an empty file, errors naming the file and the line. Every
+CSV it writes goes through ``write_csv``, in the ``csv`` module's default
+dialect.
 """
 
 from __future__ import annotations
@@ -145,6 +152,22 @@ class HoldoutSplit:
     test: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _csv_rows(path: str | Path) -> Iterator:
+    """Stream a CSV file of corrcast's format: UTF-8, a leading byte-order
+    mark dropped. Yields the first row (LoadError ``<path>: empty file``
+    when there is none), then ``(line number, row)`` for each non-blank
+    row; a row's number is that of its last physical line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise LoadError(f"{path}: empty file")
+        yield first
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+
+
 def _row_values(cells: list[str]) -> np.ndarray:
     """The decimal cells of a row, trailing empty cells dropped, as float64
     in one cast; ValueError when a cell is not a number."""
@@ -179,29 +202,23 @@ def read_forecast_csv(path: str | Path) -> dict[str, np.ndarray]:
     and count the id cell).
     """
     out: dict[str, np.ndarray] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path)
+    next(rows)
+    for line, row in rows:
+        sid = row[0].strip()
+        if not sid:
+            raise LoadError(f"{path}: row {line} has an empty series id")
+        if sid in out:
+            raise LoadError(f"{path}: duplicate series id {sid!r}")
         try:
-            next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file") from None
-        for row in reader:
-            if not row:
-                continue
-            sid = row[0].strip()
-            if not sid:
-                raise LoadError(f"{path}: row {reader.line_num} has an empty series id")
-            if sid in out:
-                raise LoadError(f"{path}: duplicate series id {sid!r}")
-            try:
-                values = _row_values(row[1:])
-            except ValueError:
-                values = None
-            if values is None or not np.isfinite(values).all():
-                raise _bad_cell(path, sid, row[1:])
-            if values.size == 0:
-                raise LoadError(f"{path}: series {sid!r} has no values")
-            out[sid] = values
+            values = _row_values(row[1:])
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
+            raise _bad_cell(path, sid, row[1:])
+        if values.size == 0:
+            raise LoadError(f"{path}: series {sid!r} has no values")
+        out[sid] = values
     return out
 
 
@@ -246,55 +263,49 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
     """
     records: dict[str, InfoRecord] = {}
     unparsed = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path)
+    header = [h.strip().lower() for h in next(rows)]
+
+    def find(*names, required=True):
+        for name in names:
+            if name in header:
+                return header.index(name)
+        if required:
+            raise LoadError(f"{path}: missing column (expected one of {names})")
+        return None
+
+    id_col = find("m4id", "id")
+    sp_col = find("sp", "frequency_label", required=False)
+    horizon_col = find("horizon")
+    date_col = find("startingdate", "starting_date", "start_date", required=False)
+
+    for line, row in rows:
+        sid = row[id_col].strip() if id_col < len(row) else ""
+        if not sid:
+            raise LoadError(f"{path}: row {line} has an empty series id")
+        if sid in records:
+            raise LoadError(f"{path}: duplicate series id {sid!r}")
+        label = row[sp_col].strip() if sp_col is not None and sp_col < len(row) else ""
+        if label and label not in FREQUENCY_LABELS:
+            raise LoadError(f"{path}: unknown frequency label {label!r} for {sid!r}")
         try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
-            raise LoadError(f"{path}: empty file") from None
-
-        def find(*names, required=True):
-            for name in names:
-                if name in header:
-                    return header.index(name)
-            if required:
-                raise LoadError(f"{path}: missing column (expected one of {names})")
-            return None
-
-        id_col = find("m4id", "id")
-        sp_col = find("sp", "frequency_label", required=False)
-        horizon_col = find("horizon")
-        date_col = find("startingdate", "starting_date", "start_date", required=False)
-
-        for row in reader:
-            if not row:
-                continue
-            sid = row[id_col].strip() if id_col < len(row) else ""
-            if not sid:
-                raise LoadError(f"{path}: row {reader.line_num} has an empty series id")
-            if sid in records:
-                raise LoadError(f"{path}: duplicate series id {sid!r}")
-            label = row[sp_col].strip() if sp_col is not None and sp_col < len(row) else ""
-            if label and label not in FREQUENCY_LABELS:
-                raise LoadError(f"{path}: unknown frequency label {label!r} for {sid!r}")
-            try:
-                horizon = float(row[horizon_col])
-            except (ValueError, IndexError):
-                horizon = math.nan
-            if not (horizon >= 1.0 and horizon.is_integer()):
-                raise LoadError(f"{path}: bad horizon for series {sid!r}: expected a whole "
-                                "number >= 1")
-            start = None
-            if date_col is not None and date_col < len(row):
-                raw = row[date_col]
-                start = _parse_start_date(raw)
-                if start is None and raw.strip():
-                    unparsed.append(f"{sid!r} ({raw!r})")
-            records[sid] = InfoRecord(
-                frequency_label=label or "Daily",
-                horizon=int(horizon),
-                start_date=start,
-            )
+            horizon = float(row[horizon_col])
+        except (ValueError, IndexError):
+            horizon = math.nan
+        if not (horizon >= 1.0 and horizon.is_integer()):
+            raise LoadError(f"{path}: bad horizon for series {sid!r}: expected a whole "
+                            "number >= 1")
+        start = None
+        if date_col is not None and date_col < len(row):
+            raw = row[date_col]
+            start = _parse_start_date(raw)
+            if start is None and raw.strip():
+                unparsed.append(f"{sid!r} ({raw!r})")
+        records[sid] = InfoRecord(
+            frequency_label=label or "Daily",
+            horizon=int(horizon),
+            start_date=start,
+        )
     if unparsed:
         warnings.warn(
             f"{len(unparsed)} of {len(records)} series have an unparseable start date and "
@@ -378,8 +389,15 @@ def _write_ragged(rows: Mapping[str, np.ndarray], letter: str, path: str | Path)
     """An ``id,<letter>1,...`` header as wide as the longest row, then one
     row per id, values with round-trip precision."""
     width = max(map(len, rows.values()), default=0)
-    with open(path, "w", newline="") as fh:
+    write_csv(path, ["id"] + [f"{letter}{i}" for i in range(1, width + 1)],
+              ([sid] + [repr(float(v)) for v in np.asarray(vals).ravel()]
+               for sid, vals in rows.items()))
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write ``header`` and then ``rows`` as UTF-8 in the ``csv`` module's
+    default dialect (CRLF line endings): every CSV corrcast writes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"{letter}{i}" for i in range(1, width + 1)])
-        for sid, vals in rows.items():
-            writer.writerow([sid] + [repr(float(v)) for v in np.asarray(vals).ravel()])
+        writer.writerow(header)
+        writer.writerows(rows)

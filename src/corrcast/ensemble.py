@@ -59,8 +59,9 @@ class PipelineConfig:
 
     ``correlator`` of None disables the matching stage entirely. Members
     name built-in forecasters or keys of ``external`` (forecast CSVs
-    produced elsewhere, e.g. by a statistical package). ``horizon`` of None
-    uses each series' own horizon; a given horizon must be at least 1.
+    produced elsewhere, e.g. by a statistical package); an external member
+    may not take a built-in's name. ``horizon`` of None uses each series'
+    own horizon; a given horizon must be at least 1.
     """
 
     correlator: CorrelatorParams | None = field(default_factory=CorrelatorParams)
@@ -74,6 +75,10 @@ class PipelineConfig:
         if self.correlator is None and not self.members:
             raise ValueError("at least one ensemble member is required when the "
                              "correlator is disabled")
+        clash = sorted(set(self.external) & set(BUILTIN_MEMBERS))
+        if clash:
+            raise ValueError(f"external members {clash} have the names of built-in members; "
+                             "give them other names")
         unknown = [m for m in self.members
                    if m not in BUILTIN_MEMBERS and m not in self.external]
         if unknown:

@@ -1,6 +1,7 @@
 """Leakage-audit tests: global correlation scan, categories, histograms."""
 
 import os
+import re
 import warnings
 from datetime import date, timedelta
 
@@ -23,6 +24,7 @@ from corrcast import (
 )
 from corrcast import analysis
 from corrcast.analysis import _fast_lengths, load_exclusions_csv
+from corrcast.dataset import LoadError
 from corrcast.stats import pearson
 from conftest import bench_corpus, make_multi_planted, make_planted, match_bits
 
@@ -466,3 +468,35 @@ def test_exclusions_with_byte_order_mark(tmp_path):
     path = tmp_path / "excl.csv"
     path.write_bytes(b"\xef\xbb\xbf" + b"D1,D2\nD3,D4\n")
     assert load_exclusions_csv(path) == [("D1", "D2"), ("D3", "D4")]
+
+
+@pytest.mark.parametrize("row", ["D5", "D5,", ",D5", " , D5,x", "D5, "])
+def test_exclusions_row_without_two_ids_is_refused(tmp_path, row):
+    """A non-blank row needs a target id and a source id; the error names
+    the file and the line. Skipping the row, or keeping an empty id, which
+    matches no pair, would leave in the audit a pair meant to be excluded."""
+    path = tmp_path / "excl.csv"
+    path.write_text(f"j,k\nD1,D2\n\n{row}\nD3,D4\n")
+    with pytest.raises(LoadError, match=f"^{re.escape(str(path))}: row 4 needs a target id "
+                                        "and a source id$"):
+        load_exclusions_csv(path)
+
+
+def test_exclusions_keep_label_header_and_extra_columns(tmp_path):
+    path = tmp_path / "excl.csv"
+    path.write_text("Target_ID,source_id,note\nD1,D2,one jump\n\n D3 , D4 ,,\n")
+    assert load_exclusions_csv(path) == [("D1", "D2"), ("D3", "D4")]
+    path.write_text("D1,D2,one jump\n")
+    assert load_exclusions_csv(path) == [("D1", "D2")]
+
+
+def test_exclusions_naming_unknown_ids_warn_once(rng):
+    yk = _series(rng, 120)
+    d = Dataset([TimeSeries("J", yk[:60].copy()), TimeSeries("K", yk)])
+    pairs = [("J", "K"), *((f"X{i}", "J") for i in range(6)), ("K", "Y")]
+    with pytest.warns(UserWarning) as record:
+        report = build_leakage_report(d, threshold=0.99, exclusions=iter(pairs))
+    assert [str(w.message) for w in record] == [
+        "7 of 8 exclusion pairs name a series id not in the dataset "
+        "(first: (X0, J), (X1, J), (X2, J), (X3, J), (X4, J))"]
+    assert report.excluded_pairs == 1

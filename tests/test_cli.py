@@ -375,6 +375,16 @@ class TestAuditCommand:
         assert summary["pre_exclusion_matches"] == 2
         assert summary["excluded_pairs"] == 1
 
+    def test_exclusions_row_without_source_exits_1(self, tmp_path, rng, capsys):
+        _, data, info = self._audit_dataset(rng, tmp_path, with_dates=True)
+        excl = tmp_path / "excl.csv"
+        excl.write_text("j,k\nA,B\nB,\n")
+        out = tmp_path / "audit_ex"
+        assert main(["audit", "--data", data, "--info", info, "--out", str(out),
+                     "--exclusions", str(excl)]) == 1
+        assert f"{excl}: row 3 needs a target id and a source id" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_future_use_reported_with_dates(self, tmp_path, rng):
         d, plant = make_planted(rng, start_dates={"T1": date(2000, 1, 1),
                                                   "S1": date(2005, 1, 1)})
@@ -478,6 +488,9 @@ class TestInvalidValues:
         "window_no_correlator": (["forecast", "--no-correlator", "--window", "1"], "window"),
         "validate_horizon": (["validate", "--horizon", "0"], "horizon"),
         "external": (["forecast", "--external", "nopath"], "--external"),
+        **{f"external_builtin_name_{cmd}": ([cmd, "--external", "custom=custom.csv",
+                                             "--members", "naive,custom"], "['custom']")
+           for cmd in ("forecast", "validate")},
         "r_grid_text": (["sweep", "--r-grid", "abc"], "--r-grid"),
         "r_grid_range": (["sweep", "--r-grid", "1.5"], "r_threshold"),
         "std_grid_negative": (["sweep", "--std-grid", "-1"], "std_ratio"),

@@ -176,6 +176,16 @@ class TestPipeline:
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             PipelineConfig(horizon=0)
 
+    def test_external_member_may_not_take_a_builtin_name(self, tmp_path):
+        # Otherwise the built-in would forecast, and the file would be read
+        # and then ignored.
+        ext = tmp_path / "ext.csv"
+        write_forecast_csv({"A": np.full(3, 1e6)}, ext)
+        with pytest.raises(ValueError, match=r"external members \['custom', 'naive'\] have the "
+                                             "names of built-in members"):
+            PipelineConfig(correlator=None, members=("custom", "other"),
+                           external={"custom": ext, "other": ext, "naive": ext})
+
     def test_correlator_params_accepted(self, rng):
         d, plant = make_planted(rng)
         cfg = PipelineConfig(

@@ -1,8 +1,10 @@
 """The package's import surface: importing the CLI must not pull in scipy,
 nor the process-pool modules a serial run never uses, and the public names
 are pinned, so that adding or removing an export is a visible change to
-this file."""
+this file. A static check stands in for a linter: every name a module
+imports is used there, and only ``dataset`` imports ``csv``."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -78,3 +80,37 @@ def test_public_names_are_pinned():
     assert corrcast.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(corrcast, name) is not None, name
+
+
+def _imports(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, anywhere in the module, with
+    its line; ``from __future__`` imports bind none."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update({a.asname or a.name: node.lineno for a in node.names})
+    return names
+
+
+MODULES = sorted((SRC / "corrcast").glob("*.py"))
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        # A package re-exports by listing a name in __all__.
+        used |= {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 and path.name == "__init__.py"}
+        unused += [f"{path.name}:{line} {name}" for name, line in _imports(tree).items()
+                   if name not in used]
+    assert unused == []
+
+
+def test_only_dataset_imports_csv():
+    assert [path.name for path in MODULES
+            if "csv" in _imports(ast.parse(path.read_text()))] == ["dataset.py"]
