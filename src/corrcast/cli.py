@@ -44,6 +44,7 @@ from .dataset import (
 )
 from .forecasters import Forecast, naive_forecast
 
+
 class ConfigError(ValueError):
     """A config file or flag combination is invalid."""
 
