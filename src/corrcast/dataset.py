@@ -160,7 +160,7 @@ def _csv_rows(path: str | Path) -> Iterator:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         # No local keeps the first row: a values file's header has a cell
-        # per column of its longest series, about 0.6 MB at M4's 9919.
+        # per column of its longest series, about 0.7 MB at 9919 columns.
         try:
             yield next(reader)
         except StopIteration:
