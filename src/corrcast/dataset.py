@@ -9,7 +9,8 @@ info CSV.
 This module owns corrcast's CSV format. Every CSV the package reads (the
 ragged files, the info file, the audit's exclusion list) streams through
 ``_csv_rows``: UTF-8 with a leading byte-order mark dropped, blank lines
-skipped, an empty file refused, and errors naming the file and the line.
+skipped, an empty file refused, and errors naming the file and a row's id
+or line.
 Every CSV it writes goes through ``write_csv``, in the ``csv`` module's
 default dialect.
 """
