@@ -31,7 +31,7 @@ from .dataset import (
     write_forecast_csv,
     write_values_csv,
 )
-from .ensemble import PipelineConfig, clip_negative, median_combine, naive_benchmark, pipeline_forecast
+from .ensemble import PipelineConfig, naive_benchmark, pipeline_forecast
 from .forecasters import (
     Decomposition,
     Forecast,
@@ -65,7 +65,6 @@ __all__ = [
     "attach_meta",
     "build_leakage_report",
     "categorize",
-    "clip_negative",
     "custom_forecast",
     "decompose_classical",
     "find_global_matches",
@@ -76,7 +75,6 @@ __all__ = [
     "load_m4_info",
     "load_m4_values",
     "mase",
-    "median_combine",
     "naive_benchmark",
     "naive_forecast",
     "overlap_histogram",

@@ -410,14 +410,9 @@ def _merge(best: dict[int, tuple], found: Iterable[tuple[int, tuple]]) -> None:
 
 
 def find_global_matches(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRESHOLD,
-                        exclusions: Iterable[tuple[str, str]] | None = None,
                         threads: int = 1) -> list[GlobalMatch]:
-    """Best global match per target, kept when r' reaches the threshold and
-    the (target, source) id pair is not excluded.
-
-    The exclusion list models manually discarded pairs (e.g. alignments
-    driven by a single large jump in both series).
-    """
+    """Best global match per target, kept when r' reaches the threshold;
+    ``build_leakage_report`` drops the excluded pairs."""
     results = GlobalScanEngine(dataset).best_matches(threads)
     matches = []
     for ts, best in zip(dataset, results):
@@ -425,13 +420,7 @@ def find_global_matches(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRES
             k, tau, r, overlap = best
             matches.append(GlobalMatch(target_id=ts.id, source_id=dataset.series[k].id,
                                        tau=tau, r_prime=r, overlap=overlap))
-    return _drop_excluded(matches, exclusions)
-
-
-def _drop_excluded(matches: list[GlobalMatch],
-                   exclusions: Iterable[tuple[str, str]] | None) -> list[GlobalMatch]:
-    excluded = set(map(tuple, exclusions)) if exclusions else set()
-    return [m for m in matches if (m.target_id, m.source_id) not in excluded]
+    return matches
 
 
 def categorize(matches: Sequence[GlobalMatch], dataset: Dataset) -> dict[str, list[GlobalMatch]]:
@@ -511,8 +500,10 @@ def build_leakage_report(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRE
                          threads: int = 1) -> LeakageReport:
     """Run the complete audit and assemble a LeakageReport; the future-use
     fraction is None, with a warning, when a matched pair lacks a start date.
-    The threshold and bin width are checked before the scan; exclusion pairs
-    that name an id not in the dataset are counted in one warning."""
+    The threshold and bin width are checked before the scan. Matches of an
+    ``exclusions`` pair (target id, source id), one discarded by hand such as
+    an alignment driven by a single large jump in both series, are dropped;
+    pairs that name an id not in the dataset are counted in one warning."""
     check_audit_args(threshold, bin_width)
     exclusions = list(exclusions or ())
     unknown = [f"({t}, {s})" for t, s in exclusions if t not in dataset or s not in dataset]
@@ -522,7 +513,8 @@ def build_leakage_report(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRE
             f"dataset (first: {', '.join(unknown[:5])})"
         )
     unfiltered = find_global_matches(dataset, threshold=threshold, threads=threads)
-    matches = _drop_excluded(unfiltered, exclusions)
+    excluded = set(map(tuple, exclusions))
+    matches = [m for m in unfiltered if (m.target_id, m.source_id) not in excluded]
     categories = categorize(matches, dataset)
     histogram = overlap_histogram(matches, bin_width)
     fraction = None

@@ -108,14 +108,16 @@ class Param(NamedTuple):
 
 
 _MATCHING = ("forecast", "sweep", "audit", "validate")
+# ``sweep`` takes its thresholds and caps from grids instead.
+_THRESHOLDS = ("forecast", "audit", "validate")
 _PIPELINE = ("forecast", "validate")
 
 PARAMS = {p.key: p for p in (
     Param("window", int, CorrelatorParams, "w", "--window", _MATCHING,
           "match window length"),
-    Param("r_threshold", float, CorrelatorParams, "r_threshold", "--r-threshold", _MATCHING,
+    Param("r_threshold", float, CorrelatorParams, "r_threshold", "--r-threshold", _THRESHOLDS,
           "minimum acceptable window correlation"),
-    Param("std_ratio", _parse_std_ratio, CorrelatorParams, "std_ratio", "--std-ratio", _MATCHING,
+    Param("std_ratio", _parse_std_ratio, CorrelatorParams, "std_ratio", "--std-ratio", _THRESHOLDS,
           "forecast dispersion cap as a multiple of the target window std; "
           "'none' disables the condition"),
     Param("bug1", _parse_bool, CorrelatorParams, "bug1", "--bug1", _MATCHING,
@@ -135,7 +137,7 @@ PARAMS = {p.key: p for p in (
     Param("horizon", int, ensemble.PipelineConfig, "horizon", "--horizon", _PIPELINE,
           "forecast horizon (forecast: each series' own by default; validate: also the "
           f"holdout length, {DEFAULT_HORIZON} by default)"),
-    Param("threads", _parse_threads, None, "threads", "--threads", ("evaluate", *_MATCHING),
+    Param("threads", _parse_threads, None, "threads", "--threads", _MATCHING,
           "parallel workers (results are thread-count independent)"),
 )}
 

@@ -103,20 +103,6 @@ def _median(sid: str, parts: Sequence[np.ndarray]) -> np.ndarray:
         return (0.0 + ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def median_combine(forecasts: Sequence[Forecast]) -> Forecast:
-    """Pointwise median of member forecasts (midpoint for even counts)."""
-    if not forecasts:
-        raise ValueError("no forecasts to combine")
-    sid = forecasts[0].id
-    return Forecast(id=sid, values=_median(sid, [f.values for f in forecasts]), method="Ensemble")
-
-
-def clip_negative(forecast: Forecast) -> Forecast:
-    """Replace negative values with zero."""
-    return Forecast(id=forecast.id, values=np.maximum(forecast.values, 0.0),
-                    method=forecast.method)
-
-
 def _ensemble_values(ts, h: int, members: Sequence[str],
                      external_tables: Mapping[str, Mapping[str, np.ndarray]],
                      batched: Mapping[str, np.ndarray] | None = None) -> tuple[np.ndarray, str]:

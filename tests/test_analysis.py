@@ -100,10 +100,11 @@ class TestFindGlobalMatches:
         yk = _series(rng, 120)
         yj = yk[:60].copy()
         d = Dataset([TimeSeries("J", yj), TimeSeries("K", yk)])
-        with_pair = find_global_matches(d, threshold=0.99)
+        with_pair = build_leakage_report(d, threshold=0.99).set_c
         assert any(m.target_id == "J" and m.source_id == "K" for m in with_pair)
-        without = find_global_matches(d, threshold=0.99, exclusions=[("J", "K")])
+        without = build_leakage_report(d, threshold=0.99, exclusions=[("J", "K")]).set_c
         assert not any(m.target_id == "J" and m.source_id == "K" for m in without)
+        assert without == [m for m in with_pair if (m.target_id, m.source_id) != ("J", "K")]
 
     def test_report_counts_excluded_pairs(self, rng):
         yk = _series(rng, 120)

@@ -499,7 +499,7 @@ class TestInvalidValues:
         "audit_threshold": (["audit", "--audit-threshold", "1.5"], "audit threshold"),
         **{f"threads_{cmd}": ([cmd, "--threads", value], "--threads")
            for cmd, value in (("forecast", "0"), ("sweep", "-3"), ("audit", "0"),
-                              ("validate", "-1"), ("evaluate", "0"))},
+                              ("validate", "-1"))},
         **{f"m_{cmd}": ([cmd, "--m", "0"], "--m") for cmd in ("evaluate", "sweep", "validate")},
     }
 
@@ -643,14 +643,17 @@ class TestOptionPin:
     config keys are pinned."""
 
     MATCHING = {"--window", "--r-threshold", "--std-ratio", "--bug1", "--no-bug1",
-                "--bug2", "--no-bug2", "--past-only", "--no-past-only"}
-    COMMON = {"-h", "--help", "--data", "--info", "--out", "--config", "--threads",
-              "--no-timestamp"}
+                "--bug2", "--no-bug2", "--past-only", "--no-past-only", "--threads"}
+    COMMON = {"-h", "--help", "--data", "--info", "--out", "--config", "--no-timestamp"}
     PIPELINE = {"--correlator", "--no-correlator", "--members", "--external", "--horizon"}
+    # Flags that commands took and ignored: sweep's thresholds come from its
+    # grids, and evaluate maps no work over threads.
+    REMOVED = {"sweep": {"--r-threshold", "--std-ratio"}, "evaluate": {"--threads"}}
     OPTIONS = {
         "forecast": COMMON | MATCHING | PIPELINE,
         "evaluate": COMMON | {"--forecast", "--test", "--benchmark", "--m"},
-        "sweep": COMMON | MATCHING | {"--test", "--r-grid", "--std-grid", "--m"},
+        "sweep": (COMMON | (MATCHING - REMOVED["sweep"])
+                  | {"--test", "--r-grid", "--std-grid", "--m"}),
         "audit": COMMON | MATCHING | {"--audit-threshold", "--bin-width", "--exclusions",
                                       "--future-use", "--no-future-use"},
         "validate": COMMON | MATCHING | PIPELINE | {"--m"},
@@ -664,6 +667,19 @@ class TestOptionPin:
             options = [s for action in sp._actions for s in action.option_strings]
             assert len(options) == len(set(options))
             assert set(options) == self.OPTIONS[name], name
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep", "--r-threshold", "0.5"), ("sweep", "--std-ratio", "none"),
+        ("evaluate", "--threads", "0")])
+    def test_removed_flag_exits_2(self, toy_env, capsys, command, flag, value):
+        assert flag in self.REMOVED[command]
+        data, test, tmp = toy_env
+        out = tmp / "out"
+        extra = {"sweep": ["--test", test], "evaluate": ["--test", test, "--forecast", test]}
+        argv = [command, "--data", data, "--out", str(out), *extra[command], flag, value]
+        assert _exit_code(argv) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_keys(self):
         assert sorted(PARAMS) == sorted([

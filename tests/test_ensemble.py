@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 from corrcast import (
     CorrelatorParams,
     Dataset,
-    Forecast,
     PipelineConfig,
     TimeSeries,
-    clip_negative,
-    median_combine,
     naive_forecast,
     pipeline_forecast,
     write_forecast_csv,
@@ -26,50 +23,48 @@ from corrcast.cli import main
 from conftest import make_planted
 
 
-def _fc(sid, values, method="naive"):
-    return Forecast(id=sid, values=np.asarray(values, float), method=method)
-
-
 class TestMedianCombine:
+    """``_median``, the pointwise median the ensemble takes of its members."""
+
     def test_idempotent_on_identical_members(self, rng):
         vals = rng.normal(0, 1, 14)
-        out = median_combine([_fc("A", vals) for _ in range(5)])
-        assert np.array_equal(out.values, vals)
-        assert out.method == "Ensemble"
+        assert np.array_equal(ensemble._median("A", [vals] * 5), vals)
 
     def test_robust_to_outlier(self):
-        out = median_combine([_fc("A", [1.0]), _fc("A", [2.0]), _fc("A", [100.0])])
-        assert out.values[0] == 2.0
+        assert ensemble._median("A", [np.array([v]) for v in (1.0, 2.0, 100.0)])[0] == 2.0
 
     def test_even_count_uses_midpoint(self):
-        out = median_combine([_fc("A", [1.0]), _fc("A", [5.0])])
-        assert out.values[0] == 3.0
+        assert ensemble._median("A", [np.array([v]) for v in (1.0, 5.0)])[0] == 3.0
 
     def test_matches_sort_oracle(self, rng):
-        members = [_fc("A", rng.normal(0, 1, 10)) for _ in range(5)]
-        out = median_combine(members)
+        members = [rng.normal(0, 1, 10) for _ in range(5)]
+        out = ensemble._median("A", members)
         for t in range(10):
-            column = sorted(m.values[t] for m in members)
-            assert out.values[t] == column[2]
+            assert out[t] == sorted(m[t] for m in members)[2]
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            median_combine([_fc("A", [1.0, 2.0]), _fc("A", [1.0])])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            median_combine([])
+        with pytest.raises(ValueError, match="mismatch for 'A'"):
+            ensemble._median("A", [np.array([1.0, 2.0]), np.array([1.0])])
 
 
 class TestClipNegative:
+    """``pipeline_forecast`` clips the combined forecast at zero, last."""
+
+    @staticmethod
+    def _pipeline(values):
+        d = Dataset([TimeSeries("A", np.arange(1.0, 40.0))])
+        with mock.patch.dict(ensemble.BUILTIN_MEMBERS, {"fixed": lambda y, h: values}):
+            cfg = PipelineConfig(correlator=None, members=("fixed",), horizon=len(values))
+            return pipeline_forecast(d, cfg)["A"]
+
     def test_basic(self):
-        out = clip_negative(_fc("A", [-1.0, 0.0, 2.0]))
+        out = self._pipeline(np.array([-1.0, 0.0, 2.0]))
         assert out.values.tolist() == [0.0, 0.0, 2.0]
+        assert out.method == "Ensemble"
 
     def test_identity_on_nonnegative(self, rng):
         vals = np.abs(rng.normal(0, 1, 8))
-        out = clip_negative(_fc("A", vals))
-        assert np.array_equal(out.values, vals)
+        assert np.array_equal(self._pipeline(vals).values, vals)
 
 
 class TestPipeline:
@@ -245,8 +240,6 @@ class TestEnsembleCombine:
         want = np.median(np.vstack(survivors), axis=0)
         assert values.tobytes() == want.tobytes()
         assert method == "Ensemble"
-        combined = median_combine([_fc("A", out) for out in survivors])
-        assert combined.values.tobytes() == want.tobytes()
         expected_warnings = {
             "raises": "member 'raises' failed on series 'A': boom",
             "nan": "member 'nan' failed on series 'A': forecast for 'A' must be a finite "

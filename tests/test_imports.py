@@ -65,10 +65,10 @@ PUBLIC = [
     "ConstantInputError", "CorrelationEngine", "CorrelatorMatch", "CorrelatorParams",
     "Dataset", "Decomposition", "Forecast", "GlobalMatch", "HoldoutSplit", "LeakageReport",
     "MetricReport", "PipelineConfig", "TimeSeries", "UndefinedMetricError",
-    "affine_map", "attach_meta", "build_leakage_report", "categorize", "clip_negative",
+    "affine_map", "attach_meta", "build_leakage_report", "categorize",
     "custom_forecast", "decompose_classical", "find_global_matches", "future_use_stats",
     "global_cross_correlation", "holdout_split", "linear_extrapolate", "load_m4_info",
-    "load_m4_values", "mase", "median_combine", "naive_benchmark", "naive_forecast",
+    "load_m4_values", "mase", "naive_benchmark", "naive_forecast",
     "overlap_histogram", "owa_report", "pearson", "pipeline_forecast", "read_forecast_csv",
     "run_correlator", "ses_forecast", "smape", "sweep_correlator",
     "write_forecast_csv", "write_values_csv",
