@@ -60,8 +60,9 @@ class PipelineConfig:
     ``correlator`` of None disables the matching stage entirely. Members
     name built-in forecasters or keys of ``external`` (forecast CSVs
     produced elsewhere, e.g. by a statistical package); an external member
-    may not take a built-in's name. ``horizon`` of None uses each series'
-    own horizon; a given horizon must be at least 1.
+    may not take a built-in's name, and must be listed in ``members``, since
+    an unlisted file would be read and then ignored. ``horizon`` of None
+    uses each series' own horizon; a given horizon must be at least 1.
     """
 
     correlator: CorrelatorParams | None = field(default_factory=CorrelatorParams)
@@ -79,6 +80,10 @@ class PipelineConfig:
         if clash:
             raise ValueError(f"external members {clash} have the names of built-in members; "
                              "give them other names")
+        unlisted = sorted(set(self.external) - set(self.members))
+        if unlisted:
+            raise ValueError(f"external members {unlisted} are not listed in members; "
+                             "list them or drop their forecast paths")
         unknown = [m for m in self.members
                    if m not in BUILTIN_MEMBERS and m not in self.external]
         if unknown:

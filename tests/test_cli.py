@@ -491,6 +491,9 @@ class TestInvalidValues:
         **{f"external_builtin_name_{cmd}": ([cmd, "--external", "custom=custom.csv",
                                              "--members", "naive,custom"], "['custom']")
            for cmd in ("forecast", "validate")},
+        **{f"external_unlisted_{cmd}": ([cmd, "--external", "ets=e.csv", "--members", "naive"],
+                                        "['ets'] are not listed")
+           for cmd in ("forecast", "validate")},
         "r_grid_text": (["sweep", "--r-grid", "abc"], "--r-grid"),
         "r_grid_range": (["sweep", "--r-grid", "1.5"], "r_threshold"),
         "std_grid_negative": (["sweep", "--std-grid", "-1"], "std_ratio"),
@@ -594,7 +597,7 @@ FLAG_ROWS = {
     "bug2": ("true", ["--bug2"], "false"),
     "past_only": ("true", ["--past-only"], "false"),
     "correlator": ("false", ["--no-correlator"], "true"),
-    "members": ("naive", ["--members", "naive"], "naive,ses"),
+    "members": ("naive,ext", ["--members", "naive,ext"], "ses,ext"),
     "external_forecast_paths": ("ext=ext_a.csv", ["--external", "ext=ext_a.csv"],
                                 "ext=ext_b.csv"),
     "horizon": ("7", ["--horizon", "7"], "5"),
@@ -670,7 +673,8 @@ class TestOptionPin:
 
     @pytest.mark.parametrize("command, flag, value", [
         ("sweep", "--r-threshold", "0.5"), ("sweep", "--std-ratio", "none"),
-        ("evaluate", "--threads", "0")])
+        ("evaluate", "--threads", "0")],
+        ids=["sweep_r_threshold", "sweep_std_ratio", "evaluate_threads"])
     def test_removed_flag_exits_2(self, toy_env, capsys, command, flag, value):
         assert flag in self.REMOVED[command]
         data, test, tmp = toy_env
