@@ -9,8 +9,8 @@ info CSV.
 This module owns corrcast's CSV format. Every CSV the package reads (the
 ragged files, the info file, the audit's exclusion list) streams through
 ``_csv_rows``: UTF-8 with a leading byte-order mark dropped, blank lines
-skipped, an empty file refused, and errors naming the file and a row's id
-or line.
+skipped, the first non-blank row the header, an empty file refused, and
+errors naming the file and a row's id or line.
 Every CSV it writes goes through ``write_csv``, in the ``csv`` module's
 default dialect.
 """
@@ -155,20 +155,19 @@ class HoldoutSplit:
 
 def _csv_rows(path: str | Path) -> Iterator:
     """Stream a CSV file of corrcast's format: UTF-8, a leading byte-order
-    mark dropped. Yields the first row (LoadError ``<path>: empty file``
-    when there is none), then ``(line number, row)`` for each non-blank
-    row; a row's number is that of its last physical line."""
+    mark dropped. Yields ``(line number, row)`` for each non-blank row, the
+    first being the header (LoadError ``<path>: empty file`` when there is
+    none); a row's number is that of its last physical line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        # No local keeps the first row: a values file's header has a cell
-        # per column of its longest series, about 0.7 MB at 9919 columns.
+        rows = ((reader.line_num, row) for row in reader if row)
+        # No local keeps the header: a values file's header has a cell per
+        # column of its longest series, about 0.7 MB at 9919 columns.
         try:
-            yield next(reader)
+            yield next(rows)
         except StopIteration:
             raise LoadError(f"{path}: empty file") from None
-        for row in reader:
-            if row:
-                yield reader.line_num, row
+        yield from rows
 
 
 def _row_values(cells: list[str]) -> np.ndarray:
@@ -197,8 +196,8 @@ def read_forecast_csv(path: str | Path) -> dict[str, np.ndarray]:
 
     Values, test, forecast, benchmark and external-member files all share
     this layout and these rules. Files are UTF-8, with or without the
-    byte-order mark spreadsheets write. The first row is a header and is
-    skipped, as are blank lines. Each other row is a series id followed by
+    byte-order mark spreadsheets write. The first non-blank row is a header
+    and is skipped, as are blank lines. Each other row is a series id followed by
     decimal values; trailing empty cells are dropped. An empty id, an empty
     interior cell, a malformed or non-finite cell, a row with no values and
     a repeated id are errors (column numbers in error messages are 1-based
@@ -258,8 +257,8 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
     Columns are located by header name: the series id column contains
     "id", the seasonal-pattern label column is "SP", plus "Horizon" and
     "StartingDate"; other columns ("Frequency" among them) are not read.
-    A leading UTF-8 byte-order mark is dropped, and blank lines are
-    skipped. An empty id, a repeated id and a horizon that is not a whole
+    A leading UTF-8 byte-order mark is dropped, blank lines are skipped, and
+    the first non-blank row is the header. An empty id, a repeated id and a horizon that is not a whole
     number >= 1 ("14" and "14.0" are) are errors naming the row or the
     series. Unparseable dates are treated as absent, with one warning that
     counts them.
@@ -267,7 +266,7 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
     records: dict[str, InfoRecord] = {}
     unparsed = []
     rows = _csv_rows(path)
-    header = [h.strip().lower() for h in next(rows)]
+    header = [h.strip().lower() for h in next(rows)[1]]
 
     def find(*names, required=True):
         for name in names:

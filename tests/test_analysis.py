@@ -483,6 +483,16 @@ def test_exclusions_row_without_two_ids_is_refused(tmp_path, row):
         load_exclusions_csv(path)
 
 
+@pytest.mark.parametrize("text, line", [("\n\nD5\n", 3), ('"D\n5"\n', 2), ("j,k\n\nD5\n", 3)])
+def test_exclusions_first_row_is_numbered_by_its_line(tmp_path, text, line):
+    """A header-less list's first row is numbered by its last physical line,
+    as every other row is, and a label row after blank lines is a header."""
+    path = tmp_path / "excl.csv"
+    path.write_text(text)
+    with pytest.raises(LoadError, match=f"^{re.escape(str(path))}: row {line} needs"):
+        load_exclusions_csv(path)
+
+
 def test_exclusions_keep_label_header_and_extra_columns(tmp_path):
     path = tmp_path / "excl.csv"
     path.write_text("Target_ID,source_id,note\nD1,D2,one jump\n\n D3 , D4 ,,\n")

@@ -168,9 +168,13 @@ def test_readers_share_the_rules(name, tmp_path):
     # A byte-order mark and blank lines after the header change nothing.
     assert load("\ufeff" + "\r\n\r\n".join([header, *rows]) + "\n\n") == plain
     assert len(load(header + "\n")) == 0
-    for empty in ("", "\ufeff"):
+    # The header is the first non-blank row.
+    assert load("\n\r\n" + "\n".join([header, *rows]) + "\n") == plain
+    for empty in ("", "\ufeff", "\n\r\n", "\ufeff\n"):
         with pytest.raises(LoadError, match=f"^{re.escape(str(path))}: empty file$"):
             load(empty)
     # Line numbers count every line of the file, blank ones included.
     with pytest.raises(LoadError, match=f"^{re.escape(str(path))}: row 5 "):
         load(f"{header}\n\n{rows[0]}\n\n{bad}\n{rows[1]}\n")
+    with pytest.raises(LoadError, match=f"^{re.escape(str(path))}: row 4 "):
+        load(f"\n\n{header}\n{bad}\n")
