@@ -75,13 +75,19 @@ class Decomposition:
     residual: np.ndarray
 
 
-def naive_forecast(series, h: int) -> np.ndarray:
-    """h copies of the last observed value."""
+def _member_input(series, h: int) -> np.ndarray:
+    """``series`` as float64; ValueError for an empty series or h below 1."""
     series = np.asarray(series, dtype=np.float64)
     if series.size == 0:
         raise ValueError("cannot forecast an empty series")
     if h < 1:
         raise ValueError(f"horizon must be positive, got {h}")
+    return series
+
+
+def naive_forecast(series, h: int) -> np.ndarray:
+    """h copies of the last observed value."""
+    series = _member_input(series, h)
     return np.full(h, series[-1])
 
 
@@ -92,11 +98,7 @@ def ses_forecast(series, h: int) -> np.ndarray:
     alpha chosen from a 0.05..0.95 grid by minimizing the in-sample
     one-step squared error (ties go to the smallest alpha).
     """
-    series = np.asarray(series, dtype=np.float64)
-    if series.size == 0:
-        raise ValueError("cannot forecast an empty series")
-    if h < 1:
-        raise ValueError(f"horizon must be positive, got {h}")
+    series = _member_input(series, h)
     last = divmod(series.size - 1, _SES_BLOCK)
     levels = _ses_levels(series, _SES_GRID)
     # y[t + 1] - level[t] in the levels' layout, 0 from t = n - 1 on.
@@ -265,12 +267,11 @@ def linear_extrapolate(tail, h: int, gap: int = 0) -> np.ndarray:
     return _line_rows(tail[None, :], widths, _line_terms(widths, w), h, gap)[0]
 
 
-# (trend, residual) strategies in scoring order, the first winning ties;
-# strategy 0 is the line, 1 the repeat.
+# (trend, residual) strategies in scoring order, the first winning ties, and
+# each combo's trend and residual strategy: 0 is the line, 1 the repeat.
 _STRATEGY_COMBOS = (("linear", "linear"), ("linear", "repeat"),
                     ("repeat", "linear"), ("repeat", "repeat"))
-_TREND_STRATEGY = np.array([0, 0, 1, 1])
-_RESID_STRATEGY = np.array([0, 1, 0, 1])
+_TREND_STRATEGY, _RESID_STRATEGY = (np.array(_STRATEGY_COMBOS) == "repeat").T.astype(np.intp)
 # _line_terms of every tail width up to STRATEGY_TAIL.
 _TAIL_TERMS = _line_terms(np.arange(STRATEGY_TAIL + 1), STRATEGY_TAIL)
 
@@ -366,11 +367,7 @@ def custom_forecast(series, h: int) -> np.ndarray:
     full series. Series shorter than 2h + 4 fall back to the naive
     forecast with a warning.
     """
-    series = np.asarray(series, dtype=np.float64)
-    if series.size == 0:
-        raise ValueError("cannot forecast an empty series")
-    if h < 1:
-        raise ValueError(f"horizon must be positive, got {h}")
+    series = _member_input(series, h)
     if not _custom_long_enough(series.size, h):
         warnings.warn(
             f"series of length {series.size} too short for the decomposition "

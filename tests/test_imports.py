@@ -1,8 +1,9 @@
 """The package's import surface: importing the CLI must not pull in scipy,
 nor the process-pool modules a serial run never uses, and the public names
 are pinned, so that adding or removing an export is a visible change to
-this file. A static check stands in for a linter: every name a module
-imports is used there, and only ``dataset`` imports ``csv``."""
+this file. Static checks stand in for a linter: every name a module
+imports is used there, every private name the package defines is read in
+the package, and only ``dataset`` imports ``csv``."""
 
 import ast
 import os
@@ -114,3 +115,35 @@ def test_every_imported_name_is_used():
 def test_only_dataset_imports_csv():
     assert [path.name for path in MODULES
             if "csv" in _imports(ast.parse(path.read_text()))] == ["dataset.py"]
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private (single-underscore) name a module defines at module
+    level or in a class body, with its line."""
+    names = {}
+    bodies = [tree.body, *(node.body for node in tree.body if isinstance(node, ast.ClassDef))]
+    for stmt in (stmt for body in bodies for stmt in body):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[stmt.name] = stmt.lineno
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update({node.id: stmt.lineno for target in targets
+                          for node in ast.walk(target) if isinstance(node, ast.Name)})
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_is_read():
+    """A private name that no code of the package reads is dead: a docstring
+    or a test naming it does not count."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [f"{name}:{line} {private}" for name, tree in trees.items()
+            for private, line in _private_definitions(tree).items() if private not in read]
+    assert dead == []
