@@ -538,9 +538,9 @@ def build_leakage_report(dataset: Dataset, threshold: float = DEFAULT_AUDIT_THRE
 def load_exclusions_csv(path: str | Path) -> list[tuple[str, str]]:
     """Read an exclusion list CSV of (target_id, source_id) rows, in the
     format of ``dataset._csv_rows``. A first non-blank row whose first cell
-    is a label (``j``, ``target``, ``target_id`` or ``id``) is a header; further
-    columns are ignored. A row without a target and a source id is a
-    LoadError naming the line."""
+    is a label (``j``, ``target``, ``target_id`` or ``id``) is a header;
+    further columns are ignored. A row without a target and a source id is
+    a LoadError naming the line."""
     rows = _csv_rows(path)
     first = next(rows)
     if first[1][0].strip().lower() not in ("j", "target", "target_id", "id"):

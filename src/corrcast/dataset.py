@@ -197,11 +197,11 @@ def read_forecast_csv(path: str | Path) -> dict[str, np.ndarray]:
     Values, test, forecast, benchmark and external-member files all share
     this layout and these rules. Files are UTF-8, with or without the
     byte-order mark spreadsheets write. The first non-blank row is a header
-    and is skipped, as are blank lines. Each other row is a series id followed by
-    decimal values; trailing empty cells are dropped. An empty id, an empty
-    interior cell, a malformed or non-finite cell, a row with no values and
-    a repeated id are errors (column numbers in error messages are 1-based
-    and count the id cell).
+    and is skipped, as are blank lines. Each other row is a series id
+    followed by decimal values; trailing empty cells are dropped. An empty
+    id, an empty interior cell, a malformed or non-finite cell, a row with
+    no values and a repeated id are errors (column numbers in error
+    messages are 1-based and count the id cell).
     """
     out: dict[str, np.ndarray] = {}
     rows = _csv_rows(path)
@@ -258,10 +258,10 @@ def load_m4_info(path: str | Path) -> dict[str, InfoRecord]:
     "id", the seasonal-pattern label column is "SP", plus "Horizon" and
     "StartingDate"; other columns ("Frequency" among them) are not read.
     A leading UTF-8 byte-order mark is dropped, blank lines are skipped, and
-    the first non-blank row is the header. An empty id, a repeated id and a horizon that is not a whole
-    number >= 1 ("14" and "14.0" are) are errors naming the row or the
-    series. Unparseable dates are treated as absent, with one warning that
-    counts them.
+    the first non-blank row is the header. An empty id, a repeated id and a
+    horizon that is not a whole number >= 1 ("14" and "14.0" are) are
+    errors naming the row or the series. Unparseable dates are treated as
+    absent, with one warning that counts them.
     """
     records: dict[str, InfoRecord] = {}
     unparsed = []
