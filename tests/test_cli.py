@@ -649,7 +649,7 @@ class TestOptionPin:
                 "--bug2", "--no-bug2", "--past-only", "--no-past-only", "--threads"}
     COMMON = {"-h", "--help", "--data", "--info", "--out", "--config", "--no-timestamp"}
     PIPELINE = {"--correlator", "--no-correlator", "--members", "--external", "--horizon"}
-    # Flags that commands took and ignored: sweep's thresholds come from its
+    # Flags these commands do not take: sweep's thresholds come from its
     # grids, and evaluate maps no work over threads.
     REMOVED = {"sweep": {"--r-threshold", "--std-ratio"}, "evaluate": {"--threads"}}
     OPTIONS = {
