@@ -3,10 +3,12 @@ leakage audits, and the holdout validation workflow.
 
 The run parameters are declared once, in ``PARAMS``: each row gives the
 config key, the flag, the text parser, the field it sets and the commands
-that take the flag. A key-value config file can set any of them; flags
-given on the command line override it. Defaults and checks are those of
-``CorrelatorParams`` and ``PipelineConfig``. Exit codes: 0 success,
-1 runtime failure, 2 usage or config error (invalid values included).
+that read it. A key-value config file can set the parameters that its
+command reads, and a key that the command does not read is a config
+error; flags given on the command line override the file. Defaults and
+checks are those of ``CorrelatorParams`` and ``PipelineConfig``. Exit
+codes: 0 success, 1 runtime failure, 2 usage or config error (invalid
+values included).
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ def _parse_external(text: str) -> dict[str, str]:
 class Param(NamedTuple):
     """One run parameter. ``owner`` is the dataclass whose ``field`` it sets,
     or None for a keyword argument of the library calls (``threads``).
-    Boolean parameters get a ``--flag/--no-flag`` pair."""
+    ``commands`` read it, from the config file and from ``flag`` if it has
+    one. Boolean parameters get a ``--flag/--no-flag`` pair."""
 
     key: str
     parse: Callable[[str], object]
@@ -126,7 +129,7 @@ PARAMS = {p.key: p for p in (
           "compare dispersion against the source window instead of the target window"),
     Param("past_only", _parse_bool, CorrelatorParams, "past_only", "--past-only", _MATCHING,
           "skip matches that would consume future-dated values"),
-    Param("include_self", _parse_bool, CorrelatorParams, "include_self", None, (),
+    Param("include_self", _parse_bool, CorrelatorParams, "include_self", None, _MATCHING,
           "whether a target's own earlier windows are eligible sources"),
     Param("correlator", _parse_bool, ensemble.PipelineConfig, "correlator", "--correlator",
           _PIPELINE, "enable/disable the window-matching stage"),
@@ -142,9 +145,10 @@ PARAMS = {p.key: p for p in (
 )}
 
 
-def load_config(path: str | Path) -> dict:
+def load_config(path: str | Path, command: str) -> dict:
     """Parse a ``key = value`` config file (UTF-8, a leading byte-order mark
-    dropped); unknown keys are rejected."""
+    dropped) for ``command``; unknown keys, and keys that ``command`` does
+    not read, are rejected."""
     values = {}
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -159,6 +163,10 @@ def load_config(path: str | Path) -> dict:
                     f"{path}:{lineno}: unknown config key {key!r}; valid keys are "
                     f"{', '.join(sorted(PARAMS))}"
                 )
+            if command not in PARAMS[key].commands:
+                own = sorted(k for k, p in PARAMS.items() if command in p.commands)
+                raise ConfigError(f"{path}:{lineno}: {command} does not read config key "
+                                  f"{key!r}; its keys are {', '.join(own) or 'none'}")
             try:
                 values[key] = PARAMS[key].parse(text)
             except (ValueError, TypeError) as exc:
@@ -169,7 +177,7 @@ def load_config(path: str | Path) -> dict:
 def _run_values(args) -> dict:
     """The config file's run values, overridden by the flags given (an
     unset flag is absent from ``args``)."""
-    config = load_config(args.config) if args.config else {}
+    config = load_config(args.config, args.command) if args.config else {}
     return {**config, **{key: value for key, value in vars(args).items() if key in PARAMS}}
 
 
@@ -288,7 +296,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _run_values(args)  # rejects a bad config file, as every command does
+    _run_values(args)  # evaluate reads no run value; a config file may set none
     dataset = _load_dataset(args)
     forecasts = read_forecast_csv(args.forecast)
     test = read_forecast_csv(args.test)
@@ -433,7 +441,7 @@ def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field from JSON outputs")
     for p in PARAMS.values():
-        if command in p.commands:
+        if command in p.commands and p.flag:
             kind = ({"action": argparse.BooleanOptionalAction} if p.parse is _parse_bool
                     else {"type": _flag_type(p.parse),
                           "metavar": p.flag[2:].replace("-", "_").upper()})

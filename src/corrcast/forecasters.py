@@ -2,13 +2,17 @@
 and a decomposition-based method.
 
 Simple exponential smoothing scores its whole alpha grid at once with a
-blocked scan of the level recursion. The series is cut into blocks of 16.
+blocked scan of the level recursion. Each series is cut into blocks of 16.
 A log-depth doubling scan (Hillis & Steele 1986; Blelloch 1990) over the
 block ends, not over every point, carries the level from block to block,
 and then one matrix product gives every alpha's level at every point from
 its block's values and the level carried into the block. That is O(n) work
-per alpha, and the one-step errors and the final level are read from the
-product's (block, alpha, offset) layout as it stands.
+per alpha. One kernel does this for a run of series whose blocks lie end to
+end: the scan never carries across a join, both products run once per
+block count as a stack of per-series products, and each series' one-step
+squared errors, alpha choice and final level are per-series reductions
+over its own blocks. A series gets the same bits in any run, and
+``ses_forecast`` is the kernel's one-series case.
 
 The decomposition method splits a series into trend/seasonal/residual with
 a short centered moving average (period 2), forecasts trend and residual
@@ -35,8 +39,9 @@ import numpy as np
 
 SES_ALPHA_GRID = np.arange(0.05, 1.0, 0.05)
 
-# Block length of the SES level scan.
+# Block length of the SES level scan, and zeros to pad a series to whole blocks.
 _SES_BLOCK = 16
+_BLOCK_PAD = np.zeros(_SES_BLOCK)
 
 # Number of recent component values fed to the trend/residual strategies.
 STRATEGY_TAIL = 14
@@ -54,6 +59,14 @@ class Forecast:
         vals = Forecast.checked(self.id, self.values).copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _adopt(cls, sid: str, values: np.ndarray, method: str) -> Forecast:
+        """A record that holds ``values``, a finite read-only float64
+        vector, as it is, without the constructor's check and copy."""
+        record = object.__new__(cls)
+        record.__dict__.update(id=sid, values=values, method=method)
+        return record
 
     @staticmethod
     def checked(sid: str, values) -> np.ndarray:
@@ -99,15 +112,7 @@ def ses_forecast(series, h: int) -> np.ndarray:
     one-step squared error (ties go to the smallest alpha).
     """
     series = _member_input(series, h)
-    last = divmod(series.size - 1, _SES_BLOCK)
-    levels = _ses_levels(series, _SES_GRID)
-    # y[t + 1] - level[t] in the levels' layout, 0 from t = n - 1 on.
-    ahead = np.zeros(levels.shape[0] * _SES_BLOCK)
-    ahead[: series.size - 1] = series[1:]
-    err = ahead.reshape(-1, 1, _SES_BLOCK) - levels
-    err[-1, :, last[1]:] = 0.0
-    best = np.argmin(np.einsum("bij,bij->i", err, err))
-    return np.full(h, levels[last[0], best, last[1]])
+    return np.full(h, _ses_rows([series], series.size)[0])
 
 
 def _ses_kernel(alphas) -> tuple[np.ndarray, np.ndarray]:
@@ -131,35 +136,127 @@ def _ses_kernel(alphas) -> tuple[np.ndarray, np.ndarray]:
     return weights.reshape(_SES_BLOCK + a, -1), (1.0 - alphas) ** _SES_BLOCK
 
 
-def _ses_levels(series: np.ndarray, kernel) -> np.ndarray:
-    """SES levels of ``series`` for each alpha of ``kernel`` (``_ses_kernel``),
-    as (block, alpha, offset): [b, a, j] is alpha a's level at t = 16b + j,
-    and the slots past the series' end are padding.
+def _ses_blocks(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """The block layout of series of ``lengths`` held end to end, each
+    padded to whole blocks: each series' block count and first block, and
+    for each run of series with equal block counts its series, its blocks
+    and its (series, blocks) shape."""
+    counts = -(-lengths // _SES_BLOCK)
+    heads = np.add.accumulate(counts) - counts
+    cuts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), lengths.size]
+    runs = [(slice(i, j), slice(heads[i], heads[i] + (j - i) * counts[i]), (j - i, counts[i]))
+            for i, j in zip(cuts[:-1], cuts[1:])]
+    return counts, heads, runs
+
+
+def _spans(starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The positions starts[i] to starts[i] + widths[i] - 1, for every i."""
+    return (np.arange(np.add.reduce(widths))
+            + np.repeat(starts - np.add.accumulate(widths) + widths, widths))
+
+
+def _ses_levels(padded: np.ndarray, lengths: np.ndarray, blocks,
+                kernel) -> np.ndarray:
+    """SES levels, for each alpha of ``kernel`` (``_ses_kernel``), of the
+    series of ``lengths`` held in ``padded`` in the layout of ``blocks``
+    (``_ses_blocks``), each followed by zeros to its last block's end, as
+    (block, alpha, offset): [b, a, j] is alpha a's level at position 16b + j
+    of ``padded``, and the positions past a series' end are padding.
 
     Row b of the product's input holds block b's deviations z = y - y[0]
-    (zero past the end) and each alpha's level deviation e[b-1] at the end of
-    block b - 1. The ends come first: from a zero start, one small product
-    gives each block's end, and a doubling scan carries them along,
-    e[b] += (1-alpha)^16 e[b-1].
+    (zero past the series' end) and each alpha's level deviation e[b-1] at
+    the end of the series' previous block (zero in its first block). The
+    ends come first: from a zero start, one small product gives each
+    block's end, and a doubling scan within each series carries them
+    along, e[b] += (1-alpha)^16 e[b-1]. Both products and the scan run on
+    each run of equal block counts as a stack of per-series ones, and BLAS
+    computes each item of a stack as it computes that series alone, so a
+    series' levels have the same bits in any run.
     """
     weights, block_decay = kernel
-    nb = -(-series.size // _SES_BLOCK)
+    counts, heads, runs = blocks
+    total, a = padded.size // _SES_BLOCK, block_decay.size
+    first = padded[_SES_BLOCK * heads]
     # Deviations from y[0] are exactly 0 on a constant series, so its levels
     # stay exactly y[0] whatever rounding the scan does.
-    z = np.zeros(nb * _SES_BLOCK)
-    np.subtract(series, series[0], out=z[: series.size])
-    rows = np.zeros((nb, weights.shape[0]))
-    rows[:, :_SES_BLOCK] = z.reshape(nb, _SES_BLOCK)
-    ends = rows[:, :_SES_BLOCK] @ weights[:_SES_BLOCK, _SES_BLOCK - 1 :: _SES_BLOCK]
-    s = 1
-    while s < nb:
-        ends[s:] += block_decay * ends[:-s]
-        block_decay = block_decay * block_decay
-        s *= 2
+    z = padded - np.repeat(first, _SES_BLOCK * counts)
+    z[_spans(_SES_BLOCK * heads + lengths, _SES_BLOCK * counts - lengths)] = 0.0
+    rows = np.empty((total, _SES_BLOCK + a))
+    rows[:, :_SES_BLOCK] = z.reshape(total, _SES_BLOCK)
+    ends = np.empty((total, a))
+    for _, span, shape in runs:
+        run_ends = ends[span].reshape(*shape, a)
+        np.matmul(rows[span].reshape(*shape, -1)[..., :_SES_BLOCK],
+                  weights[:_SES_BLOCK, _SES_BLOCK - 1 :: _SES_BLOCK], out=run_ends)
+        decay, s = block_decay, 1
+        while s < shape[1]:
+            run_ends[:, s:] += decay * run_ends[:, :-s]
+            decay = decay * decay
+            s *= 2
     rows[1:, _SES_BLOCK:] = ends[:-1]
-    levels = (rows @ weights).reshape(nb, block_decay.size, _SES_BLOCK)
-    levels += series[0]
-    return levels
+    rows[heads, _SES_BLOCK:] = 0.0
+    levels = np.empty((total, weights.shape[1]))
+    for series, span, shape in runs:
+        run = levels[span].reshape(shape[0], -1)
+        np.matmul(rows[span].reshape(*shape, -1), weights, out=run.reshape(*shape, -1))
+        run += first[series, None]
+    return levels.reshape(total, a, _SES_BLOCK)
+
+
+def _ses_rows(series: Sequence[np.ndarray], points: int) -> np.ndarray:
+    """``ses_forecast``'s level for each of ``series`` (non-empty float64
+    arrays), as a (K,) array, each series with the bits it gets alone.
+
+    The series are ordered by length and scanned in passes of about
+    ``points`` points (a longer series takes a pass of its own), which
+    bounds the levels, A values per point. A series' one-step squared
+    errors, y[t + 1] - level[t], are summed block by block in the order of
+    its blocks, as one series' sum is, and the first alpha of least error
+    wins. Overflow gives non-finite levels, which the caller checks for.
+    """
+    lengths = np.fromiter(map(len, series), np.intp, len(series))
+    order = np.argsort(lengths, kind="stable")
+    out = np.empty(len(series))
+    a = SES_ALPHA_GRID.size
+    for first, end in _runs(lengths[order], points):
+        picked = order[first:end]
+        part = lengths[picked]
+        # The pass's series padded to whole blocks, and one more 0, so that
+        # padded[t + 1] is y[t + 1] at every t but a series' last.
+        padded = np.concatenate([piece for i in picked
+                                 for piece in (series[i], _BLOCK_PAD[: -len(series[i]) % _SES_BLOCK])]
+                                + [_BLOCK_PAD[:1]])
+        blocks = _ses_blocks(part)
+        counts, heads, runs = blocks
+        with np.errstate(all="ignore"):
+            levels = _ses_levels(padded[:-1], part, blocks, _SES_GRID)
+            last = _SES_BLOCK * heads + part - 1
+            final = levels[last // _SES_BLOCK, :, last % _SES_BLOCK]
+            # The errors replace the levels. From each series' last value to
+            # the end of its last block, where no next value is, they are 0.
+            np.subtract(padded[1:].reshape(-1, 1, _SES_BLOCK), levels, out=levels)
+            past = _spans(last, _SES_BLOCK * counts - part + 1)
+            levels[past // _SES_BLOCK, :, past % _SES_BLOCK] = 0.0
+            block_sse = np.einsum("bij,bij->bi", levels, levels)
+            sse = np.empty((part.size, a))
+            for rows, span, shape in runs:
+                np.add.reduce(block_sse[span].reshape(*shape, a), axis=1, out=sse[rows])
+        out[picked] = final[np.arange(part.size), sse.argmin(axis=1)]
+    return out
+
+
+def _runs(sizes: Sequence[int], budget: int) -> list[tuple[int, int]]:
+    """(first, end) indices of consecutive runs of ``sizes``, in order, each
+    summing to at most ``budget`` unless it is a single larger item."""
+    runs, first, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if total and total + size > budget:
+            runs.append((first, i))
+            first, total = i, 0
+        total += size
+    if len(sizes):
+        runs.append((first, len(sizes)))
+    return runs
 
 
 _SES_GRID = _ses_kernel(SES_ALPHA_GRID)
@@ -283,6 +380,15 @@ def _custom_long_enough(n: int, h: int) -> bool:
     return n >= 2 * h + 4
 
 
+def _warn_too_short(n: int, h: int) -> None:
+    """The warning of a series of n points given the naive forecast in
+    place of the decomposition member's at horizon h."""
+    warnings.warn(
+        f"series of length {n} too short for the decomposition "
+        f"method with horizon {h}; falling back to naive"
+    )
+
+
 def _custom_rows(series: Sequence[np.ndarray], h: int) -> tuple[np.ndarray, np.ndarray]:
     """``custom_forecast`` of each of ``series`` (float64 arrays long
     enough by ``_custom_long_enough``), as the rows of a (K, h) array, with
@@ -369,9 +475,6 @@ def custom_forecast(series, h: int) -> np.ndarray:
     """
     series = _member_input(series, h)
     if not _custom_long_enough(series.size, h):
-        warnings.warn(
-            f"series of length {series.size} too short for the decomposition "
-            f"method with horizon {h}; falling back to naive"
-        )
+        _warn_too_short(series.size, h)
         return naive_forecast(series, h)
     return _custom_rows([series], h)[0][0]

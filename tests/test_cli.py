@@ -118,7 +118,7 @@ class TestConfig:
     def test_byte_order_mark_before_first_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"\xef\xbb\xbf" + b"threads = 2\nhorizon = 7\n")
-        assert cli.load_config(cfg) == {"threads": 2, "horizon": 7}
+        assert cli.load_config(cfg, "forecast") == {"threads": 2, "horizon": 7}
 
     def test_unknown_key_exits_2(self, planted_env, capsys, tmp_path):
         _, _, data, _, tmp = planted_env
@@ -151,6 +151,50 @@ class TestConfig:
         assert main(["forecast", "--data", data, "--out", str(out2), "--config", str(cfg),
                      "--horizon", "7"]) == 0
         assert all(len(v) == 7 for v in read_forecast_csv(out2 / "forecast.csv").values())
+
+    @pytest.mark.parametrize("command, text", [
+        ("sweep", "r_threshold = 2"), ("sweep", "horizon = 7"), ("audit", "members = naive"),
+        ("evaluate", "window = 1"), ("evaluate", "include_self = false")])
+    def test_key_the_command_does_not_read_exits_2(self, toy_env, capsys, command, text):
+        # A config file sets only what its command reads: sweep takes its
+        # thresholds from its grids, audit runs no ensemble, and evaluate
+        # reads no run parameter.
+        data, test, tmp = toy_env
+        cfg = tmp / "run.cfg"
+        cfg.write_text(f"# shared\n{text}\n")
+        out = tmp / "out"
+        extra = {"sweep": ["--test", test], "evaluate": ["--test", test, "--forecast", test]}
+        argv = [command, "--data", data, "--out", str(out), "--config", str(cfg),
+                *extra.get(command, [])]
+        assert main(argv) == 2
+        key = text.split(" =")[0]
+        assert (f"{cfg}:2: {command} does not read config key {key!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["forecast", "sweep", "audit", "validate"])
+    def test_every_key_a_command_reads_is_accepted(self, toy_env, command):
+        """Each command's own keys, include_self (config only) among them,
+        at their defaults, give the run that no config file gives."""
+        data, test, tmp = toy_env
+        defaults = {"window": "14", "r_threshold": "0.9999", "std_ratio": "2", "bug1": "false",
+                    "bug2": "false", "past_only": "false", "include_self": "true",
+                    "correlator": "true", "members": "naive,ses,custom",
+                    "external_forecast_paths": "", "horizon": "14", "threads": "1"}
+        assert set(defaults) == set(PARAMS)
+        own = [key for key, p in PARAMS.items() if command in p.commands]
+        assert "include_self" in own
+        cfg = tmp / "run.cfg"
+        cfg.write_text("".join(f"{key} = {defaults[key]}\n" for key in own))
+        extra = {"sweep": ["--test", test], "validate": ["--horizon", "7"]}
+        outputs = []
+        for name, config in (("plain", []), ("config", ["--config", str(cfg)])):
+            out = tmp / name
+            argv = [command, "--data", data, "--out", str(out), "--no-timestamp", *config,
+                    *extra.get(command, [])]
+            assert main(argv) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
 
     def test_malformed_config_exits_2(self, planted_env, tmp_path, capsys):
         _, _, data, _, tmp = planted_env

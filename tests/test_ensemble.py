@@ -18,33 +18,58 @@ from corrcast import (
     pipeline_forecast,
     write_forecast_csv,
 )
-from corrcast import custom_forecast, ensemble, write_values_csv
+from corrcast import custom_forecast, ensemble, ses_forecast, write_values_csv
 from corrcast.cli import main
 from conftest import make_planted
 
 
+def _member(output):
+    def forecast(series, h):
+        if output is None:
+            raise RuntimeError("boom")
+        return output
+    return forecast
+
+
+def _named(outputs):
+    return [(f"m{i}", out) for i, out in enumerate(outputs)]
+
+
+def _combine(members, h):
+    """The chunk path's combine, on one series, of members given as (name,
+    output) pairs (an output of None raises): its (h,) values, whether it
+    fell back to naive, and its warnings."""
+    ts = TimeSeries("A", np.arange(1.0, 40.0))
+    notes = [[]]
+    with mock.patch.dict(ensemble.BUILTIN_MEMBERS,
+                         {name: _member(out) for name, out in members}):
+        values, naive = ensemble._ensemble_rows([ts], h, [name for name, _ in members], {},
+                                                notes)
+    return values[0], bool(naive[0]), notes[0]
+
+
 class TestMedianCombine:
-    """``_median``, the pointwise median the ensemble takes of its members."""
+    """The pointwise median the ensemble takes of its members."""
 
     def test_idempotent_on_identical_members(self, rng):
         vals = rng.normal(0, 1, 14)
-        assert np.array_equal(ensemble._median("A", [vals] * 5), vals)
+        assert np.array_equal(_combine(_named([vals] * 5), 14)[0], vals)
 
     def test_robust_to_outlier(self):
-        assert ensemble._median("A", [np.array([v]) for v in (1.0, 2.0, 100.0)])[0] == 2.0
+        assert _combine(_named([np.array([v]) for v in (1.0, 2.0, 100.0)]), 1)[0][0] == 2.0
 
     def test_even_count_uses_midpoint(self):
-        assert ensemble._median("A", [np.array([v]) for v in (1.0, 5.0)])[0] == 3.0
+        assert _combine(_named([np.array([v]) for v in (1.0, 5.0)]), 1)[0][0] == 3.0
 
     def test_matches_sort_oracle(self, rng):
         members = [rng.normal(0, 1, 10) for _ in range(5)]
-        out = ensemble._median("A", members)
+        out = _combine(_named(members), 10)[0]
         for t in range(10):
             assert out[t] == sorted(m[t] for m in members)[2]
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch for 'A'"):
-            ensemble._median("A", [np.array([1.0, 2.0]), np.array([1.0])])
+        with pytest.raises(ValueError, match=r"mismatch for 'A': \[2, 1\]"):
+            _combine(_named([np.array([1.0, 2.0]), np.array([1.0])]), 2)
 
 
 class TestClipNegative:
@@ -109,8 +134,6 @@ class TestPipeline:
         d = Dataset([TimeSeries(f"A{i}", np.abs(rng.normal(10, 2, 60))) for i in range(3)])
         cfg = PipelineConfig(correlator=None, members=("naive", "ses", "custom"), horizon=14)
         out = pipeline_forecast(d, cfg)
-        from corrcast import custom_forecast, ses_forecast
-
         for ts in d:
             members = np.vstack([
                 naive_forecast(ts.values, 14),
@@ -223,37 +246,22 @@ def member_cases(draw):
     return h, members
 
 
-def _member(output):
-    def forecast(series, h):
-        if output is None:
-            raise RuntimeError("boom")
-        return output
-    return forecast
-
-
 class TestEnsembleCombine:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(member_cases())
     def test_equals_np_median_of_surviving_members(self, case):
         h, members = case
-        ts = TimeSeries("A", np.arange(1.0, 40.0))
-        with mock.patch.dict(ensemble.BUILTIN_MEMBERS,
-                             {name: _member(out) for name, out in members}):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                values, method = ensemble._ensemble_values(
-                    ts, h, [name for name, _ in members], {})
+        values, naive, notes = _combine(members, h)
         survivors = [out for name, out in members if name.startswith("m")]
         want = np.median(np.vstack(survivors), axis=0)
         assert values.tobytes() == want.tobytes()
-        assert method == "Ensemble"
+        assert not naive
         expected_warnings = {
             "raises": "member 'raises' failed on series 'A': boom",
             "nan": "member 'nan' failed on series 'A': forecast for 'A' must be a finite "
                    "non-empty vector",
         }
-        assert [str(w.message) for w in caught] == [
-            expected_warnings[name] for name, _ in members if not name.startswith("m")]
+        assert notes == [expected_warnings[name] for name, _ in members if not name.startswith("m")]
 
     def test_member_length_mismatch_raises(self):
         d = Dataset([TimeSeries("A", np.arange(1.0, 40.0))])
@@ -278,6 +286,70 @@ class TestEnsembleCombine:
             "ensemble median overflows on 'A'; falling back to naive"]
         assert out["A"].values.tolist() == [39.0, 39.0]
         assert out["A"].method == "Naive"
+
+
+    def test_mixed_chunk_keeps_its_outputs_and_warnings(self, tmp_path):
+        """One chunk of two horizons with an external member that lacks an
+        id and has a row shorter than its horizon, a decomposition member
+        that is too short on one series and non-finite on two, and a median
+        that overflows. The outputs and warnings are pinned from the
+        per-series combine that the chunk path replaced."""
+        rng = np.random.default_rng(41)
+
+        def walk(n):
+            return 50.0 + np.cumsum(rng.normal(0.0, 1.0, n))
+
+        d = Dataset([
+            TimeSeries("A", walk(40), horizon=3),
+            TimeSeries("B", 1.5e308 * np.linspace(0.5, 1, 40), horizon=3),
+            TimeSeries("C", walk(33), horizon=5),
+            TimeSeries("D", walk(60), horizon=5),
+            TimeSeries("E", walk(8), horizon=3),
+            TimeSeries("F", np.round(walk(120), 2), horizon=5),
+            TimeSeries("G", walk(14), horizon=5),
+            TimeSeries("H", -1.7e308 * np.linspace(0.9, 1.0, 40), horizon=3),
+        ])
+        ext = tmp_path / "ext.csv"
+        write_forecast_csv({"A": np.array([49.0, -60.0, 52.5]), "B": np.full(3, 1.7e308),
+                            "D": np.array([1.0, 2.0]), "E": np.full(3, 7.25),
+                            "F": np.array([40.0, 41.0, 1e9, -3.0, 0.0]),
+                            "G": np.full(5, -2.0)}, ext)
+        cfg = PipelineConfig(correlator=None, members=("naive", "ses", "custom", "ext"),
+                             external={"ext": ext})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = pipeline_forecast(d, cfg)
+        assert [str(w.message) for w in caught] == [
+            "member 'custom' failed on series 'B': forecast for 'B' must be a finite "
+            "non-empty vector",
+            "member 'ext' failed on series 'C': \"series 'C' missing from external "
+            "forecasts 'ext'\"",
+            "member 'ext' failed on series 'D': external forecast 'ext' for 'D' has 2 "
+            "values, need 5",
+            "series of length 8 too short for the decomposition method with horizon 3; "
+            "falling back to naive",
+            "member 'custom' failed on series 'H': forecast for 'H' must be a finite "
+            "non-empty vector",
+            "member 'ext' failed on series 'H': \"series 'H' missing from external "
+            "forecasts 'ext'\"",
+            "ensemble median overflows on 'H'; falling back to naive",
+        ]
+        want = {
+            "A": ["0x1.8ae188650190ep+5", "0x1.8ae188650190ep+5", "0x1.8bbb0637315ccp+5"],
+            "B": ["0x1.ab36d48e1acf0p+1023"] * 3,
+            "C": ["0x1.9c9b2fdbf3d9fp+5"] * 5,
+            "D": ["0x1.3eb80551782c9p+5"] * 5,
+            "E": ["0x1.8c68dfd9948f8p+5"] * 3,
+            "F": ["0x1.85fad9cf489afp+5", "0x1.8673010c0f9ecp+5", "0x1.87f5b85eeaad8p+5",
+                  "0x1.8673010c0f9ecp+5", "0x1.8673010c0f9ecp+5"],
+            "G": ["0x1.8643f193a0dbcp+5"] * 4 + ["0x1.845b861f832a7p+5"],
+            "H": ["0x0.0p+0"] * 3,
+        }
+        assert list(out) == list(want)
+        for sid, hexes in want.items():
+            assert [float(v).hex() for v in out[sid].values] == hexes, sid
+            assert out[sid].method == ("Naive" if sid == "H" else "Ensemble")
+            assert not out[sid].values.flags.writeable
 
 
 # --- chunks, and the decomposition member's chunk kernel ----------------------
@@ -326,6 +398,20 @@ class TestChunks:
         assert [str(w.message) for w in caught] == want_warned
         for ts in d:
             assert out[ts.id].values.tobytes() == want[ts.id].tobytes(), ts.id
+
+
+    @pytest.mark.parametrize("budget", [1, 700, 2**15])
+    def test_ses_member_is_ses_forecast_per_series(self, rng, monkeypatch, budget):
+        # Whatever the chunks and the SES passes within them, each series
+        # gets the bits that ses_forecast gives it alone.
+        d = Dataset([*_mixed(rng), TimeSeries("one", np.array([501.5]), horizon=2),
+                     TimeSeries("two", np.array([500.0, 503.0]), horizon=2),
+                     TimeSeries("flat", np.full(16, 512.25), horizon=3)])
+        monkeypatch.setattr(ensemble, "_CHUNK_POINTS", budget)
+        out = pipeline_forecast(d, PipelineConfig(correlator=None, members=("ses",)))
+        for ts in d:
+            want = ses_forecast(ts.values, ts.horizon)
+            assert out[ts.id].values.tobytes() == want.tobytes(), ts.id
 
 
 def _overflow_dataset(n=40):

@@ -1,8 +1,8 @@
 """Forecaster tests; decomposition and extrapolation are checked against
-independently written loop/closed-form implementations, and the
-decomposition member's chunk kernel against its earlier polyfit/nanmean
-formulation, one series at a time, and against itself over any grouping of
-series."""
+independently written loop/closed-form implementations, the decomposition
+member's chunk kernel against its earlier polyfit/nanmean formulation, and
+the SES chunk kernel against the one-series SES it replaced, one series at
+a time, and each kernel against itself over any grouping of series."""
 
 import math
 import warnings
@@ -26,8 +26,10 @@ from corrcast.forecasters import (
     SES_ALPHA_GRID,
     Decomposition,
     _custom_rows,
+    _ses_blocks,
     _ses_kernel,
     _ses_levels,
+    _ses_rows,
 )
 from corrcast.metrics import UndefinedMetricError, mase
 from conftest import bench_corpus
@@ -260,9 +262,16 @@ class TestNaive:
             naive_forecast([], 3)
 
 
+def one_series_levels(y, kernel):
+    """The blocked scan's levels of one series, as (block, alpha, offset)."""
+    lengths = np.array([y.size])
+    padded = np.concatenate((y, np.zeros(-y.size % forecasters._SES_BLOCK)))
+    return _ses_levels(padded, lengths, _ses_blocks(lengths), kernel)
+
+
 def scan_levels(y, alphas):
     """The blocked scan's levels for ``alphas``, one row per alpha."""
-    levels = _ses_levels(y, _ses_kernel(alphas))
+    levels = one_series_levels(y, _ses_kernel(alphas))
     return levels.transpose(1, 0, 2).reshape(len(alphas), -1)[:, : y.size]
 
 
@@ -357,12 +366,115 @@ class TestSesScan:
         for ts in data:
             y = ts.values
             b, j = divmod(y.size - 1, forecasters._SES_BLOCK)
-            want = _ses_levels(y, _SES_GRID)[b, oracle_grid_choice(y), j]
+            want = one_series_levels(y, _SES_GRID)[b, oracle_grid_choice(y), j]
             assert ses_forecast(y, 1)[0] == want, ts.id
 
     def test_exact_tie_takes_smallest_alpha(self):
         # With two points every alpha has the same in-sample error.
         assert ses_forecast([1.0, 3.0], 1)[0] == pytest.approx(1.0 + SES_ALPHA_GRID[0] * 2.0)
+
+
+# SES as it was before its chunk kernel, kept verbatim as the oracle: one
+# series' blocked scan, and its errors summed by einsum.
+
+def old_ses_forecast(series, h):
+    series = np.asarray(series, dtype=np.float64)
+    last = divmod(series.size - 1, forecasters._SES_BLOCK)
+    levels = old_ses_levels(series, _SES_GRID)
+    # y[t + 1] - level[t] in the levels' layout, 0 from t = n - 1 on.
+    ahead = np.zeros(levels.shape[0] * forecasters._SES_BLOCK)
+    ahead[: series.size - 1] = series[1:]
+    err = ahead.reshape(-1, 1, forecasters._SES_BLOCK) - levels
+    err[-1, :, last[1]:] = 0.0
+    best = np.argmin(np.einsum("bij,bij->i", err, err))
+    return np.full(h, levels[last[0], best, last[1]])
+
+
+def old_ses_levels(series, kernel):
+    _SES_BLOCK = forecasters._SES_BLOCK
+    weights, block_decay = kernel
+    nb = -(-series.size // _SES_BLOCK)
+    z = np.zeros(nb * _SES_BLOCK)
+    np.subtract(series, series[0], out=z[: series.size])
+    rows = np.zeros((nb, weights.shape[0]))
+    rows[:, :_SES_BLOCK] = z.reshape(nb, _SES_BLOCK)
+    ends = rows[:, :_SES_BLOCK] @ weights[:_SES_BLOCK, _SES_BLOCK - 1 :: _SES_BLOCK]
+    s = 1
+    while s < nb:
+        ends[s:] += block_decay * ends[:-s]
+        block_decay = block_decay * block_decay
+        s *= 2
+    rows[1:, _SES_BLOCK:] = ends[:-1]
+    levels = (rows @ weights).reshape(nb, block_decay.size, _SES_BLOCK)
+    levels += series[0]
+    return levels
+
+
+@st.composite
+def ses_chunks(draw):
+    """(series, points): one to twelve series and a pass budget. Lengths of
+    1 and 2, one block (3-16), a few blocks and up to 5000; walks, two-decimal
+    walks, constant series and alternating signs; offsets up to 1e9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.one_of(st.integers(1, 2), st.integers(3, 16), st.integers(17, 100),
+                           st.integers(101, 5000)))
+        kind = draw(st.sampled_from(["walk", "cents", "constant", "alternating"]))
+        offset = draw(st.sampled_from([0.0, 3.7, -1e6, 1e9, -1e9]))
+        if kind == "walk":
+            y = np.cumsum(rng.normal(0.0, 1.0, n))
+        elif kind == "cents":
+            y = np.round(np.cumsum(rng.normal(0.0, 1.0, n)), 2)
+        elif kind == "constant":
+            y = np.zeros(n)
+        else:
+            y = rng.uniform(0.5, 2.0, n) * (-1.0) ** np.arange(n)
+        series.append(offset + y)
+    # The ensemble's passes: an eighth of a chunk of 1, 700 or 2^15 points.
+    return series, draw(st.sampled_from([1, 700, 2**15])) // 8
+
+
+class TestSesChunkKernel:
+    """``_ses_rows`` against the SES it replaced, series by series."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ses_chunks())
+    def test_each_series_has_its_old_bits(self, case):
+        series, points = case
+        rows = _ses_rows(series, points)
+        for y, row in zip(series, rows):
+            want = old_ses_forecast(y, 1)
+            assert same_bits(row, want[0]), y.size
+            assert same_bits(ses_forecast(y, 1), want)
+            if np.all(y == y[0]):
+                assert row == y[0]
+        # Any grouping gives each series the same bits.
+        assert same_bits(_ses_rows(series[::-1], points)[::-1], rows)
+        for cut in range(1, len(series)):
+            parts = np.concatenate((_ses_rows(series[:cut], points),
+                                    _ses_rows(series[cut:], points)))
+            assert same_bits(parts, rows), cut
+
+    def test_one_block_series_beside_longer_ones(self, rng):
+        # Alone, a one-block series' product has one row, which numpy hands
+        # BLAS as a matrix-vector product; beside longer series it is one
+        # item of a stack of one-row products.
+        short = [np.round(rng.uniform(0.0, 100.0, n), 2) for n in (1, 2, 5, 16, 16, 16)]
+        long = [np.cumsum(rng.normal(0.0, 1.0, n)) for n in (17, 40, 40, 900)]
+        series = short[:3] + long[:2] + short[3:] + long[2:]
+        for points in (1, 87, 4096):
+            rows = _ses_rows(series, points)
+            for y, row in zip(series, rows):
+                assert same_bits(row, old_ses_forecast(y, 1)[0]), (y.size, points)
+
+    def test_ties_take_the_smallest_alpha(self):
+        # Two points: every alpha has the same error. Constant: every error is 0.
+        series = [np.array([1.0, 3.0]), np.full(40, 2.5), np.array([-4.0, 6.0])]
+        rows = _ses_rows(series, 4096)
+        assert rows.tolist() == [1.0 + SES_ALPHA_GRID[0] * 2.0, 2.5,
+                                 -4.0 + SES_ALPHA_GRID[0] * 10.0]
 
 
 class TestDecompose:

@@ -1,16 +1,22 @@
-"""Memory on the path from the values to the correlator's index.
+"""Memory on the path from the values to the correlator's index, and in
+the ensemble.
 
 A series holds its values once: the loaded rows are adopted, and
 ``attach_meta`` and ``holdout_split`` share them. The engine's build keeps
 about 27 bytes per point and allocates little beyond it; its full scan
 takes the kernel's block-sized arrays from buffers reused across blocks
-and targets. Allocations are read with tracemalloc (``conftest.traced``).
+and targets. The ensemble's chunk kernels stay within the decomposition
+kernel's budget of about a dozen float64 arrays of a chunk's points.
+Allocations are read with tracemalloc (``conftest.traced``).
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
-from corrcast import CorrelatorParams, Dataset, TimeSeries, attach_meta, holdout_split
+from corrcast import (CorrelatorParams, Dataset, PipelineConfig, TimeSeries, attach_meta,
+                      ensemble, holdout_split, pipeline_forecast)
 from corrcast.correlator import CorrelationEngine
 from corrcast.dataset import InfoRecord
 from conftest import traced
@@ -67,3 +73,27 @@ def test_a_repeated_full_scan_allocates_less_than_a_block(walks):
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
     assert peak < block, peak
+
+
+def _short_series():
+    """900 short random walks, their lengths shaped like the bench's
+    validate-short training sets (lognormal, median 76, 26 to 386 points)."""
+    rng = np.random.default_rng(7)
+    lengths = np.clip(np.round(np.exp(rng.normal(np.log(76), 0.6, 900))), 26, 386)
+    return Dataset([TimeSeries(f"S{i}", 50.0 + np.cumsum(rng.normal(0.0, 1.0, int(n))))
+                    for i, n in enumerate(lengths)])
+
+
+@pytest.mark.parametrize("which", ["short", "walks"])
+def test_ensemble_stays_within_the_chunk_budget(walks, which):
+    """The ensemble's traced peak stays below 12 float64 values per point of
+    a chunk, the decomposition kernel's budget: SES, 19 levels per point,
+    scans a chunk in passes. SES over whole chunks would hold 19 per point."""
+    dataset = _short_series() if which == "short" else walks
+    cfg = PipelineConfig(correlator=None, horizon=14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the shortest series are too short for custom
+        pipeline_forecast(dataset, cfg)
+        _, _, peak = traced(lambda: pipeline_forecast(dataset, cfg))
+    budget = 12 * np.dtype(np.float64).itemsize * ensemble._CHUNK_POINTS
+    assert peak < budget, (peak, budget)
