@@ -183,7 +183,8 @@ def _ensemble_rows(series: Sequence[TimeSeries], h: int, members: Sequence[str],
     naive = ~np.isfinite(values).all(axis=1)
     for i in np.flatnonzero(naive):
         if count[i]:
-            notes[i].append(f"ensemble median overflows on {series[i].id!r}; falling back to naive")
+            notes[i].append(f"ensemble median overflows on {series[i].id!r}; "
+                            "falling back to naive")
         else:
             notes[i].append(f"all ensemble members failed on {series[i].id!r}; "
                             "falling back to naive")
@@ -220,9 +221,10 @@ def _chunk_forecasts(chunk: Sequence[TimeSeries], config: PipelineConfig,
                 )
             rest.append(i)
         if rest:
-            values[rest], naive = _ensemble_rows(
+            ensembled, naive = _ensemble_rows(
                 [chunk[picked[i]] for i in rest], h, config.members, external_tables,
                 [notes[picked[i]] for i in rest])
+            values[rest] = ensembled
             for i, fell_back in zip(rest, naive):
                 methods[i] = "Naive" if fell_back else "Ensemble"
         groups.append((picked, values, methods))

@@ -136,32 +136,28 @@ def _ses_kernel(alphas) -> tuple[np.ndarray, np.ndarray]:
     return weights.reshape(_SES_BLOCK + a, -1), (1.0 - alphas) ** _SES_BLOCK
 
 
-def _ses_blocks(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+def _ses_blocks(lengths: np.ndarray) -> tuple:
     """The block layout of series of ``lengths`` held end to end, each
-    padded to whole blocks: each series' block count and first block, and
-    for each run of series with equal block counts its series, its blocks
-    and its (series, blocks) shape."""
-    counts = -(-lengths // _SES_BLOCK)
+    padded to whole blocks: each series' first block and block count, the
+    block and offset of its last value, and for each run of series with
+    equal block counts, its series, its blocks and its (series, blocks)
+    shape."""
+    full, last_offset = np.divmod(lengths - 1, _SES_BLOCK)
+    counts = full + 1
     heads = np.add.accumulate(counts) - counts
     cuts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), lengths.size]
-    runs = [(slice(i, j), slice(heads[i], heads[i] + (j - i) * counts[i]), (j - i, counts[i]))
+    first, count = heads.tolist(), counts.tolist()
+    runs = [(slice(i, j), slice(first[i], first[i] + (j - i) * count[i]), (j - i, count[i]))
             for i, j in zip(cuts[:-1], cuts[1:])]
-    return counts, heads, runs
+    return heads, counts, (heads + full, last_offset), runs
 
 
-def _spans(starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """The positions starts[i] to starts[i] + widths[i] - 1, for every i."""
-    return (np.arange(np.add.reduce(widths))
-            + np.repeat(starts - np.add.accumulate(widths) + widths, widths))
-
-
-def _ses_levels(padded: np.ndarray, lengths: np.ndarray, blocks,
-                kernel) -> np.ndarray:
+def _ses_levels(padded: np.ndarray, blocks, kernel) -> np.ndarray:
     """SES levels, for each alpha of ``kernel`` (``_ses_kernel``), of the
-    series of ``lengths`` held in ``padded`` in the layout of ``blocks``
-    (``_ses_blocks``), each followed by zeros to its last block's end, as
-    (block, alpha, offset): [b, a, j] is alpha a's level at position 16b + j
-    of ``padded``, and the positions past a series' end are padding.
+    series held in ``padded`` in the layout of ``blocks`` (``_ses_blocks``),
+    as (block, alpha, offset): [b, a, j] is alpha a's level at position
+    16b + j of ``padded``, and the levels past a series' last value are not
+    used.
 
     Row b of the product's input holds block b's deviations z = y - y[0]
     (zero past the series' end) and each alpha's level deviation e[b-1] at
@@ -174,20 +170,20 @@ def _ses_levels(padded: np.ndarray, lengths: np.ndarray, blocks,
     series' levels have the same bits in any run.
     """
     weights, block_decay = kernel
-    counts, heads, runs = blocks
+    heads, counts, (last_block, last_offset), runs = blocks
     total, a = padded.size // _SES_BLOCK, block_decay.size
     first = padded[_SES_BLOCK * heads]
+    rows = np.empty((total, _SES_BLOCK + a))
+    z = rows[:, :_SES_BLOCK]
     # Deviations from y[0] are exactly 0 on a constant series, so its levels
     # stay exactly y[0] whatever rounding the scan does.
-    z = padded - np.repeat(first, _SES_BLOCK * counts)
-    z[_spans(_SES_BLOCK * heads + lengths, _SES_BLOCK * counts - lengths)] = 0.0
-    rows = np.empty((total, _SES_BLOCK + a))
-    rows[:, :_SES_BLOCK] = z.reshape(total, _SES_BLOCK)
+    np.subtract(padded.reshape(total, _SES_BLOCK), np.repeat(first, counts)[:, None], out=z)
+    z[last_block] = np.where(np.arange(_SES_BLOCK) > last_offset[:, None], 0.0, z[last_block])
+    end_weights = weights[:_SES_BLOCK, _SES_BLOCK - 1 :: _SES_BLOCK]
     ends = np.empty((total, a))
     for _, span, shape in runs:
         run_ends = ends[span].reshape(*shape, a)
-        np.matmul(rows[span].reshape(*shape, -1)[..., :_SES_BLOCK],
-                  weights[:_SES_BLOCK, _SES_BLOCK - 1 :: _SES_BLOCK], out=run_ends)
+        np.matmul(z[span].reshape(*shape, _SES_BLOCK), end_weights, out=run_ends)
         decay, s = block_decay, 1
         while s < shape[1]:
             run_ends[:, s:] += decay * run_ends[:, :-s]
@@ -218,30 +214,28 @@ def _ses_rows(series: Sequence[np.ndarray], points: int) -> np.ndarray:
     order = np.argsort(lengths, kind="stable")
     out = np.empty(len(series))
     a = SES_ALPHA_GRID.size
-    for first, end in _runs(lengths[order], points):
-        picked = order[first:end]
-        part = lengths[picked]
-        # The pass's series padded to whole blocks, and one more 0, so that
-        # padded[t + 1] is y[t + 1] at every t but a series' last.
-        padded = np.concatenate([piece for i in picked
-                                 for piece in (series[i], _BLOCK_PAD[: -len(series[i]) % _SES_BLOCK])]
-                                + [_BLOCK_PAD[:1]])
-        blocks = _ses_blocks(part)
-        counts, heads, runs = blocks
-        with np.errstate(all="ignore"):
-            levels = _ses_levels(padded[:-1], part, blocks, _SES_GRID)
-            last = _SES_BLOCK * heads + part - 1
-            final = levels[last // _SES_BLOCK, :, last % _SES_BLOCK]
-            # The errors replace the levels. From each series' last value to
-            # the end of its last block, where no next value is, they are 0.
+    with np.errstate(all="ignore"):
+        for first, end in _runs(lengths[order], points):
+            picked = order[first:end]
+            # The pass's series padded to whole blocks, and one more 0, so
+            # that padded[t + 1] is y[t + 1] at every t but a series' last.
+            padded = np.concatenate([piece for y in (series[i] for i in picked)
+                                     for piece in (y, _BLOCK_PAD[: -y.size % _SES_BLOCK])]
+                                    + [_BLOCK_PAD[:1]])
+            blocks = _ses_blocks(lengths[picked])
+            _, _, (last_block, last_offset), runs = blocks
+            levels = _ses_levels(padded[:-1], blocks, _SES_GRID)
+            final = levels[last_block, :, last_offset]
+            # The errors replace the levels. From each series' last value on,
+            # where no next value is, they are 0.
             np.subtract(padded[1:].reshape(-1, 1, _SES_BLOCK), levels, out=levels)
-            past = _spans(last, _SES_BLOCK * counts - part + 1)
-            levels[past // _SES_BLOCK, :, past % _SES_BLOCK] = 0.0
+            levels[last_block] = np.where(
+                np.arange(_SES_BLOCK) >= last_offset[:, None, None], 0.0, levels[last_block])
             block_sse = np.einsum("bij,bij->bi", levels, levels)
-            sse = np.empty((part.size, a))
+            sse = np.empty((picked.size, a))
             for rows, span, shape in runs:
                 np.add.reduce(block_sse[span].reshape(*shape, a), axis=1, out=sse[rows])
-        out[picked] = final[np.arange(part.size), sse.argmin(axis=1)]
+            out[picked] = final[np.arange(picked.size), sse.argmin(axis=1)]
     return out
 
 

@@ -261,7 +261,8 @@ class TestEnsembleCombine:
             "nan": "member 'nan' failed on series 'A': forecast for 'A' must be a finite "
                    "non-empty vector",
         }
-        assert notes == [expected_warnings[name] for name, _ in members if not name.startswith("m")]
+        assert notes == [expected_warnings[name] for name, _ in members
+                         if not name.startswith("m")]
 
     def test_member_length_mismatch_raises(self):
         d = Dataset([TimeSeries("A", np.arange(1.0, 40.0))])

@@ -266,7 +266,7 @@ def one_series_levels(y, kernel):
     """The blocked scan's levels of one series, as (block, alpha, offset)."""
     lengths = np.array([y.size])
     padded = np.concatenate((y, np.zeros(-y.size % forecasters._SES_BLOCK)))
-    return _ses_levels(padded, lengths, _ses_blocks(lengths), kernel)
+    return _ses_levels(padded, _ses_blocks(lengths), kernel)
 
 
 def scan_levels(y, alphas):
