@@ -33,8 +33,7 @@ import numpy as np
 
 from ._parallel import indexed_map
 from .correlator import CorrelatorMatch, CorrelatorParams, run_correlator
-from .dataset import Dataset, read_forecast_csv
-from .dataset import TimeSeries
+from .dataset import Dataset, TimeSeries, read_forecast_csv
 from .forecasters import (Forecast, _custom_long_enough, _custom_rows, _runs, _ses_rows,
                           _warn_too_short, custom_forecast, naive_forecast, ses_forecast)
 
@@ -48,8 +47,8 @@ DEFAULT_MEMBERS = ("naive", "ses", "custom")
 
 # Points of series in one work item. It bounds the decomposition kernel's
 # temporaries, about a dozen float64 arrays of this many values. SES holds
-# about 25 values per point, its 19 levels and their errors among them, so
-# it scans a chunk in passes of an eighth of this, about 3 such arrays.
+# about 25 float64 values per point of a pass, 19 of them levels, so it
+# scans a chunk in passes of an eighth of this, about 3 such arrays.
 _CHUNK_POINTS = 2**15
 # One-thread seconds of the default members per series and per point.
 # Least squares over ``pipeline_forecast`` without the correlator on the

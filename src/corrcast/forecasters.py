@@ -205,7 +205,7 @@ def _ses_rows(series: Sequence[np.ndarray], points: int) -> np.ndarray:
 
     The series are ordered by length and scanned in passes of about
     ``points`` points (a longer series takes a pass of its own), which
-    bounds the levels, A values per point. A series' one-step squared
+    bounds the levels, 19 values per point. A series' one-step squared
     errors, y[t + 1] - level[t], are summed block by block in the order of
     its blocks, as one series' sum is, and the first alpha of least error
     wins. Overflow gives non-finite levels, which the caller checks for.
@@ -367,10 +367,11 @@ _TREND_STRATEGY, _RESID_STRATEGY = (np.array(_STRATEGY_COMBOS) == "repeat").T.as
 _TAIL_TERMS = _line_terms(np.arange(STRATEGY_TAIL + 1), STRATEGY_TAIL)
 
 
-def _custom_long_enough(n: int, h: int) -> bool:
-    """Whether a series of n points is long enough for the decomposition
-    member at horizon h; ``custom_forecast`` gives a shorter one the naive
-    forecast, and the ensemble keeps it out of the chunk kernel."""
+def _custom_long_enough(n, h: int):
+    """Whether a series of n points (or each of an array of lengths) is
+    long enough for the decomposition member at horizon h;
+    ``custom_forecast`` gives a shorter one the naive forecast, and the
+    ensemble keeps it out of the chunk kernel."""
     return n >= 2 * h + 4
 
 

@@ -374,8 +374,9 @@ class TestSesScan:
         assert ses_forecast([1.0, 3.0], 1)[0] == pytest.approx(1.0 + SES_ALPHA_GRID[0] * 2.0)
 
 
-# SES as it was before its chunk kernel, kept verbatim as the oracle: one
-# series' blocked scan, and its errors summed by einsum.
+# SES as it was before its chunk kernel, kept as the oracle with only the
+# module's names qualified: one series' blocked scan, and its errors summed
+# by einsum.
 
 def old_ses_forecast(series, h):
     series = np.asarray(series, dtype=np.float64)
